@@ -153,11 +153,15 @@ void ThreadsOnlyArgs(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_Im2Col)->Apply(ThreadsOnlyArgs);
 
+// Rows are read in place at `stride` floats apart: stride == dim is a
+// contiguous matrix, stride 800 / 75 are one L-column block of the
+// CifarNet conv2 / conv1 unfolded rows (K = 800 / 75, L = 10, H = 11).
 void BM_LshHash(benchmark::State& state) {
   SetupThreads(state);
   const int64_t rows = 4096;
   const int64_t dim = state.range(1);
   const int num_hashes = static_cast<int>(state.range(2));
+  const int64_t stride = state.range(3);
   LshFamily family;
   const Status status = LshFamily::Create(dim, num_hashes, 7, &family);
   if (!status.ok()) {
@@ -165,21 +169,22 @@ void BM_LshHash(benchmark::State& state) {
     return;
   }
   Rng rng(4);
-  Tensor data = Tensor::RandomGaussian(Shape({rows, dim}), &rng);
+  Tensor data = Tensor::RandomGaussian(Shape({rows, stride}), &rng);
   std::vector<LshSignature> sigs;
   for (auto _ : state) {
-    family.HashRows(data.data(), rows, dim, &sigs);
+    family.HashRows(data.data(), rows, stride, &sigs);
     benchmark::DoNotOptimize(sigs.data());
   }
   state.SetItemsProcessed(state.iterations() * rows * dim * num_hashes);
 }
 void LshHashArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"threads", "dim", "h"});
+  bench->ArgNames({"threads", "dim", "h", "stride"});
   for (const auto shape :
-       {std::array<int64_t, 2>{400, 8}, std::array<int64_t, 2>{400, 16},
-        std::array<int64_t, 2>{25, 8}}) {
+       {std::array<int64_t, 3>{400, 8, 400}, std::array<int64_t, 3>{400, 16, 400},
+        std::array<int64_t, 3>{25, 8, 25}, std::array<int64_t, 3>{10, 11, 800},
+        std::array<int64_t, 3>{10, 11, 75}}) {
     for (const int64_t threads : kThreadCounts) {
-      bench->Args({threads, shape[0], shape[1]});
+      bench->Args({threads, shape[0], shape[1], shape[2]});
     }
   }
 }

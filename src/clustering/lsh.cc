@@ -1,10 +1,9 @@
 #include "clustering/lsh.h"
 
-#include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "tensor/gemm.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -23,32 +22,40 @@ Status LshFamily::Create(int64_t dim, int num_hashes, uint64_t seed,
   }
   out->dim_ = dim;
   out->num_hashes_ = num_hashes;
+  out->padded_hashes_ =
+      (num_hashes + simd::kMaxWidth - 1) / simd::kMaxWidth * simd::kMaxWidth;
   // Sample hyperplane-major (fixed RNG order, so signatures are stable
-  // across releases), then transpose into the GEMM-friendly layout.
+  // across releases), then transpose into the zero-padded kernel panel.
   std::vector<float> planes(static_cast<size_t>(num_hashes) * dim);
   Rng rng(seed);
   for (auto& v : planes) v = rng.NextGaussian();
-  out->hyperplanes_t_.resize(planes.size());
+  out->panel_.assign(static_cast<size_t>(dim * out->padded_hashes_), 0.0f);
   for (int h = 0; h < num_hashes; ++h) {
     for (int64_t j = 0; j < dim; ++j) {
-      out->hyperplanes_t_[static_cast<size_t>(j) * num_hashes + h] =
+      out->panel_[static_cast<size_t>(j * out->padded_hashes_ + h)] =
           planes[static_cast<size_t>(h) * dim + j];
     }
   }
   return Status::OK();
 }
 
+namespace {
+
+// The kernel writes kSignatureWords packed words per row straight into
+// a signature array, so an array of signatures must be exactly its words.
+static_assert(std::is_standard_layout_v<LshSignature> &&
+                  sizeof(LshSignature) ==
+                      simd::kSignatureWords * sizeof(uint64_t),
+              "LshSignature must be exactly its packed words");
+static_assert(kMaxLshHashes == 64 * simd::kSignatureWords);
+
+uint64_t* SignatureWords(LshSignature* sigs) { return sigs->words.data(); }
+
+}  // namespace
+
 LshSignature LshFamily::Hash(const float* row) const {
-  // Single-row instance of the HashRows projection GEMM. Going through the
-  // identical kernel (not a per-plane dot product) keeps the projections —
-  // and therefore the sign bits — bit-identical between the per-row and
-  // batched paths under every SIMD backend.
-  float projections[kMaxLshHashes];
-  Gemm(row, hyperplanes_t_.data(), projections, 1, dim_, num_hashes_);
   LshSignature sig;
-  for (int h = 0; h < num_hashes_; ++h) {
-    if (projections[h] > 0.0f) sig.SetBit(h);
-  }
+  HashRowsInto(row, 1, dim_, &sig);
   return sig;
 }
 
@@ -56,47 +63,23 @@ void LshFamily::HashRows(const float* data, int64_t num_rows,
                          int64_t row_stride,
                          std::vector<LshSignature>* out) const {
   out->resize(static_cast<size_t>(num_rows));
-  std::vector<float> scratch(
-      static_cast<size_t>(ScratchFloats(num_rows, row_stride)));
-  HashRowsScratch(data, num_rows, row_stride, scratch.data(), out->data());
+  HashRowsInto(data, num_rows, row_stride, out->data());
 }
 
-void LshFamily::HashRowsScratch(const float* data, int64_t num_rows,
-                                int64_t row_stride, float* scratch,
-                                LshSignature* out) const {
-  // Batched formulation: the projections are one GEMM
-  // P = X * V (X is num_rows x dim, V dimension-major dim x H), followed
-  // by sign-packing — far faster than per-row dot products, especially
-  // for the short sub-vectors (small dim) adaptive deep reuse favours.
-  float* projections = scratch;
-  const float* gemm_in = data;
-  if (row_stride != dim_) {
-    // Compact the strided rows first so the GEMM streams contiguously;
-    // the copy is O(N*L), negligible next to the O(N*L*H) projections.
-    float* compact = scratch + num_rows * num_hashes_;
-    ParallelFor(num_rows, GrainForCost(dim_),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    std::copy_n(data + i * row_stride, dim_,
-                                compact + i * dim_);
-                  }
-                });
-    gemm_in = compact;
-  }
-  Gemm(gemm_in, hyperplanes_t_.data(), projections, num_rows, dim_,
-       num_hashes_);
-  // Sign-packing per row chunk: each row owns its signature slot.
-  ParallelFor(num_rows, GrainForCost(num_hashes_),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  const float* row = projections + i * num_hashes_;
-                  LshSignature sig;
-                  for (int h = 0; h < num_hashes_; ++h) {
-                    if (row[h] > 0.0f) sig.SetBit(h);
-                  }
-                  out[i] = sig;
-                }
-              });
+void LshFamily::HashRowsInto(const float* data, int64_t num_rows,
+                             int64_t row_stride, LshSignature* out) const {
+  ADR_CHECK_GE(row_stride, dim_);
+  const simd::Kernels& kernels = simd::Active();
+  // A row's bits do not depend on how rows are chunked, so the split only
+  // matters for speed: 4-row-aligned chunks keep every kernel call on its
+  // 4-row register tile.
+  const int64_t grain =
+      (GrainForCost(dim_ * padded_hashes_) + 3) / 4 * 4;
+  ParallelFor(num_rows, grain, [&](int64_t begin, int64_t end) {
+    kernels.lsh_sign_project(data + begin * row_stride, row_stride,
+                             end - begin, panel_.data(), dim_, padded_hashes_,
+                             num_hashes_, SignatureWords(out + begin));
+  });
 }
 
 Clustering ClusterBySignature(const std::vector<LshSignature>& row_signatures,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "clustering/clustering.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -26,7 +27,7 @@ inline constexpr int kMaxLshHashes = 128;
 /// \brief An H-bit LSH signature; hashable, usable as a cross-batch
 /// cluster ID.
 struct LshSignature {
-  std::array<uint64_t, 2> words = {0, 0};
+  std::array<uint64_t, simd::kSignatureWords> words = {0, 0};
 
   bool operator==(const LshSignature& other) const {
     return words == other.words;
@@ -73,41 +74,35 @@ class LshFamily {
   ///
   /// The row is interpreted under the angular metric: only the signs of the
   /// projections matter, so no explicit normalization is needed here.
-  /// Computed through the same GEMM microkernel as HashRows, so per-row and
-  /// batched signatures are bit-identical for any fixed SIMD backend.
+  /// Computed by the same sign-projection kernel as HashRows, so per-row
+  /// and batched signatures are bit-identical for any fixed SIMD backend.
   LshSignature Hash(const float* row) const;
 
   /// \brief Signatures for `num_rows` rows with the given stride.
   void HashRows(const float* data, int64_t num_rows, int64_t row_stride,
                 std::vector<LshSignature>* out) const;
 
-  /// \brief HashRows into caller-owned buffers — the allocation-free form
-  /// the fused tile pipeline feeds from a workspace arena. `scratch` must
-  /// hold ScratchFloats(num_rows, row_stride) floats; `out` receives
-  /// `num_rows` signatures. Same projection GEMM and sign-packing as
-  /// HashRows, so the signatures are bit-identical.
-  void HashRowsScratch(const float* data, int64_t num_rows,
-                       int64_t row_stride, float* scratch,
-                       LshSignature* out) const;
+  /// \brief HashRows into a caller-owned array of `num_rows` signatures —
+  /// the allocation-free form the clustering paths use. Rows are read in
+  /// place at any stride >= dim(); nothing is copied or buffered.
+  void HashRowsInto(const float* data, int64_t num_rows, int64_t row_stride,
+                    LshSignature* out) const;
 
-  /// \brief Scratch floats HashRowsScratch needs: projections, plus a
-  /// compacted copy of the rows when they are strided.
-  int64_t ScratchFloats(int64_t num_rows, int64_t row_stride) const {
-    return num_rows * num_hashes_ +
-           (row_stride == dim_ ? 0 : num_rows * dim_);
-  }
+  /// \brief Hash count rounded up to a multiple of simd::kMaxWidth: the
+  /// row length of panel().
+  int64_t padded_hashes() const { return padded_hashes_; }
 
-  /// \brief Dimension-major hyperplanes, hyperplanes_t()[j * num_hashes() +
-  /// h]: the projection operand of the HashRows GEMM. Exposed so the
-  /// golden-kernel harness can recompute projections at higher precision.
-  const std::vector<float>& hyperplanes_t() const { return hyperplanes_t_; }
+  /// \brief Dimension-major hyperplanes, panel()[j * padded_hashes() + h],
+  /// with zero planes for h >= num_hashes(): the operand of the
+  /// sign-projection kernel. Exposed so the golden-kernel harness can
+  /// recompute projections at higher precision.
+  const std::vector<float>& panel() const { return panel_; }
 
  private:
   int64_t dim_ = 0;
   int num_hashes_ = 0;
-  // Hyperplanes stored dimension-major: hyperplanes_t_[j * num_hashes_ + h]
-  // (the batched HashRows GEMM streams over h in the inner loop).
-  std::vector<float> hyperplanes_t_;
+  int64_t padded_hashes_ = 0;
+  std::vector<float> panel_;
 };
 
 /// \brief Groups rows by LSH signature into a Clustering.

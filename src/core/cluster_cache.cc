@@ -223,6 +223,7 @@ void ClusterReuseCache::EnsureTableCapacity(Block& block) {
     block.slots[static_cast<size_t>(slot)].entry = static_cast<int32_t>(e);
     block.slots[static_cast<size_t>(slot)].sig =
         block.entry_sig[static_cast<size_t>(e)];
+    block.entry_slot[static_cast<size_t>(e)] = static_cast<int32_t>(slot);
   }
 }
 

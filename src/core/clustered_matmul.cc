@@ -243,19 +243,19 @@ void FusedClusteredForward(const BlockLshFamilies& families,
 
   // 1. Stream L2-sized row tiles through im2col + hash + cluster; the
   // unfolded matrix never exists. (Tile generation parallelizes over row
-  // sub-ranges; the hash GEMM inside ConsumeTile parallelizes itself.)
+  // sub-ranges; hashing inside ConsumeTile parallelizes itself when a
+  // tile is large enough to pay for it.)
   {
     ADR_TRACE_SPAN("fused_tile_cluster");
     clusterer->Begin(&families, n, rows_per_group);
     const int64_t tile_rows = L2TileRows(k);
     float* tile = scratch.Floats(tile_rows * k);
-    float* hash_scratch = scratch.Floats(clusterer->ScratchFloats(tile_rows));
     for (int64_t row = 0; row < n; row += tile_rows) {
       const int64_t rows = std::min(tile_rows, n - row);
       ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
         Im2ColRows(geo, input_nchw, row + begin, row + end, tile + begin * k);
       });
-      clusterer->ConsumeTile(tile, row, rows, hash_scratch);
+      clusterer->ConsumeTile(tile, row, rows);
     }
     *clustering = clusterer->Finish();
   }

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "clustering/tile_hash.h"
 #include "tensor/simd.h"
 #include "util/check.h"
 
@@ -63,16 +62,6 @@ ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
   result.num_cols = k;
   result.blocks.resize(static_cast<size_t>(families.num_blocks()));
 
-  // One hash scratch buffer sized for the widest block serves every
-  // (block, group) hash call; per-call heap churn here measurably slows
-  // the projection GEMMs that follow.
-  int64_t max_scratch = 0;
-  for (int64_t b = 0; b < families.num_blocks(); ++b) {
-    max_scratch = std::max(
-        max_scratch, families.family(b).ScratchFloats(rows_per_group, k));
-  }
-  std::vector<float> hash_scratch(static_cast<size_t>(max_scratch));
-
   std::vector<LshSignature> sigs;
   for (int64_t b = 0; b < families.num_blocks(); ++b) {
     SubMatrixClustering& block = result.blocks[static_cast<size_t>(b)];
@@ -85,9 +74,8 @@ ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
     for (int64_t group_start = 0; group_start < num_rows;
          group_start += rows_per_group) {
       sigs.resize(static_cast<size_t>(rows_per_group));
-      family.HashRowsScratch(x + group_start * k + block.col_offset,
-                             rows_per_group, k, hash_scratch.data(),
-                             sigs.data());
+      family.HashRowsInto(x + group_start * k + block.col_offset,
+                          rows_per_group, k, sigs.data());
       std::vector<LshSignature> group_cluster_sigs;
       const Clustering group =
           ClusterBySignature(sigs, &group_cluster_sigs);
@@ -142,21 +130,9 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
   }
 }
 
-int64_t StreamingSubVectorClusterer::ScratchFloats(int64_t tile_rows) const {
-  ADR_CHECK(families_ != nullptr);
-  int64_t max_scratch = 0;
-  for (int64_t b = 0; b < families_->num_blocks(); ++b) {
-    const TileRowHasher hasher(&families_->family(b));
-    max_scratch = std::max(
-        max_scratch, hasher.ScratchFloats(tile_rows, families_->k()));
-  }
-  return max_scratch;
-}
-
 void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
                                               int64_t row_begin,
-                                              int64_t tile_rows,
-                                              float* scratch) {
+                                              int64_t tile_rows) {
   ADR_CHECK_EQ(row_begin, next_row_) << "tiles must arrive in row order";
   ADR_CHECK_GT(tile_rows, 0);
   ADR_CHECK_LE(row_begin + tile_rows, num_rows_);
@@ -168,10 +144,11 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
     BlockState& bs = blocks_[static_cast<size_t>(b)];
     const int64_t offset = families_->block_offset(b);
     const int64_t length = families_->block_length(b);
-    const TileRowHasher hasher(&families_->family(b));
+    // The block's columns are hashed in place at stride k, through the
+    // same kernel call ClusterSubVectors makes on the full matrix.
     bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
-    hasher.HashTile(tile + offset, tile_rows, k, scratch,
-                    bs.tile_sigs.data());
+    families_->family(b).HashRowsInto(tile + offset, tile_rows, k,
+                                      bs.tile_sigs.data());
 
     // Serial per-row pass in ascending global row order: id assignment
     // replays ClusterBySignature's first-seen order (with the per-group

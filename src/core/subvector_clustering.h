@@ -92,8 +92,8 @@ ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
 /// The fused forward feeds the unfolded matrix as L2-sized tiles
 /// (Im2ColRows output) and this clusterer reproduces ClusterSubVectors
 /// bit-for-bit without the N x K matrix ever existing:
-///   - signatures go through the same batched projection GEMM, whose
-///     per-row results are independent of how rows are tiled;
+///   - signatures go through the same sign-projection kernel, whose
+///     per-row bits are independent of how rows are tiled;
 ///   - cluster ids are assigned in the same first-seen order with the
 ///     same reset at every rows_per_group boundary (tiles need not align
 ///     with group boundaries);
@@ -111,15 +111,10 @@ class StreamingSubVectorClusterer {
   void Begin(const BlockLshFamilies* families, int64_t num_rows,
              int64_t rows_per_group);
 
-  /// \brief Scratch floats ConsumeTile needs for a tile of `tile_rows`
-  /// rows (max over blocks). Valid after Begin.
-  int64_t ScratchFloats(int64_t tile_rows) const;
-
   /// \brief Consumes rows [row_begin, row_begin + tile_rows); tiles must
   /// arrive in order and cover [0, num_rows) exactly. `tile` is
-  /// tile_rows x k row-major; `scratch` holds ScratchFloats(tile_rows).
-  void ConsumeTile(const float* tile, int64_t row_begin, int64_t tile_rows,
-                   float* scratch);
+  /// tile_rows x k row-major.
+  void ConsumeTile(const float* tile, int64_t row_begin, int64_t tile_rows);
 
   /// \brief Finalizes centroids and returns the clustering; the clusterer
   /// keeps its table capacity for the next Begin.

@@ -1,7 +1,7 @@
 // Portable SIMD kernel layer for the reuse hot paths.
 //
 // Every dense inner loop the library spends its time in (the GEMM
-// microkernels, LSH projection dot products, row normalization, the
+// microkernels, LSH sign projections, row normalization, the
 // cluster gather/scatter adds and the backward sum/average reductions)
 // funnels through the small table of primitives below. The table has one
 // implementation per instruction set:
@@ -38,6 +38,14 @@ namespace adr::simd {
 
 enum class Isa { kScalar, kAvx2, kNeon };
 
+/// \brief Float lanes of the widest compiled vector backend. LSH
+/// hyperplane panels pad their hash count to a multiple of this, which is
+/// a multiple of every backend's width, so one panel serves them all.
+inline constexpr int kMaxWidth = 8;
+
+/// \brief 64-bit words per packed sign signature (up to 128 hash bits).
+inline constexpr int kSignatureWords = 2;
+
 /// \brief One backend's implementations of the hot-path primitives.
 struct Kernels {
   Isa isa = Isa::kScalar;
@@ -66,6 +74,19 @@ struct Kernels {
   void (*gemm_block)(const float* a, int64_t lda, const float* b,
                      int64_t ldb, float* c, int64_t ldc, int64_t m,
                      int64_t k, int64_t n);
+  /// Sign-random-projection hashing, the LSH hot path. For row i of x
+  /// (x[i * ldx + j], j < dim) and hash lane h < num_hashes the projection
+  ///   p = sum_j x[i * ldx + j] * panel[j * h_padded + h]
+  /// is one FMA chain over ascending j starting from zero, kept in a
+  /// register; bit h of out[i * kSignatureWords ...] is set iff p > 0.
+  /// `panel` is dim x h_padded (dimension-major), h_padded a multiple of
+  /// kMaxWidth >= num_hashes, with zero planes in the padding lanes; a
+  /// zero plane projects to +0 (or NaN), never > 0, so bits at or above
+  /// num_hashes are zero. A row's bits depend only on that row, never on
+  /// `rows` or the row's position in the call.
+  void (*lsh_sign_project)(const float* x, int64_t ldx, int64_t rows,
+                           const float* panel, int64_t dim, int64_t h_padded,
+                           int num_hashes, uint64_t* out);
 };
 
 /// \brief The scalar backend. Always available.

@@ -8,7 +8,8 @@
 //   using Reg            — the vector register type (float for scalar);
 //   static constexpr int kWidth — float lanes per register;
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
-//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v).
+//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v),
+//   SignBits(v) — bit l set iff lane l > 0 (false for NaN).
 //
 // Remainder lanes (n not a multiple of kWidth) run in scalar tail loops;
 // the golden harness sweeps such shapes explicitly.
@@ -40,6 +41,7 @@ struct ScalarOps {
   static Reg Mul(Reg a, Reg b) { return a * b; }
   static Reg Fma(Reg a, Reg b, Reg acc) { return a * b + acc; }
   static float ReduceAdd(Reg v) { return v; }
+  static uint32_t SignBits(Reg v) { return v > 0.0f ? 1u : 0u; }
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -62,6 +64,10 @@ struct Avx2Ops {
     sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 0x1));
     return _mm_cvtss_f32(sum);
   }
+  static uint32_t SignBits(Reg v) {
+    return static_cast<uint32_t>(_mm256_movemask_ps(
+        _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
+  }
 };
 #endif  // __AVX2__ && __FMA__
 
@@ -77,6 +83,15 @@ struct NeonOps {
   static Reg Mul(Reg a, Reg b) { return vmulq_f32(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return vfmaq_f32(acc, a, b); }
   static float ReduceAdd(Reg v) { return vaddvq_f32(v); }
+  static uint32_t SignBits(Reg v) {
+    float lanes[kWidth];
+    vst1q_f32(lanes, v);
+    uint32_t bits = 0;
+    for (int l = 0; l < kWidth; ++l) {
+      bits |= static_cast<uint32_t>(lanes[l] > 0.0f) << l;
+    }
+    return bits;
+  }
 };
 #endif  // __ARM_NEON
 
@@ -252,8 +267,97 @@ void GemmBlockImpl(const float* a, int64_t lda, const float* b, int64_t ldb,
   }
 }
 
+// R rows x C registers of hash lanes [h0, h0 + C * kWidth): each j loads
+// the C panel registers once and reuses them across all R rows (like
+// GemmRowTile), the R*C projections stay in registers for the whole j
+// loop, and their sign bits are OR-ed straight into the signatures — no
+// projection buffer is written or re-read. kWidth divides 64, so a
+// register's bits never straddle two signature words.
+template <typename Ops, int R, int C>
+void SignProjectTile(const float* x, int64_t ldx, const float* panel,
+                     int64_t ldp, int64_t dim, int h0, uint64_t* out) {
+  using Reg = typename Ops::Reg;
+  constexpr int kW = Ops::kWidth;
+  // The r/c loops must unroll completely so acc[][] lives in registers;
+  // -O2 alone leaves them rolled, with every accumulator on the stack.
+  Reg acc[R][C];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) acc[r][c] = Ops::Zero();
+  }
+  const float* p = panel + h0;
+  for (int64_t j = 0; j < dim; ++j) {
+    Reg pv[C];
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) pv[c] = Ops::Load(p + j * ldp + c * kW);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const Reg xv = Ops::Broadcast(x[r * ldx + j]);
+#pragma GCC unroll 8
+      for (int c = 0; c < C; ++c) acc[r][c] = Ops::Fma(xv, pv[c], acc[r][c]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) {
+      const int h = h0 + c * kW;
+      out[r * kSignatureWords + (h >> 6)] |=
+          static_cast<uint64_t>(Ops::SignBits(acc[r][c])) << (h & 63);
+    }
+  }
+}
+
+// All hash lanes of R rows, two registers at a time.
+template <typename Ops, int R>
+void SignProjectRows(const float* x, int64_t ldx, const float* panel,
+                     int64_t ldp, int64_t dim, int regs, uint64_t* out) {
+  constexpr int kW = Ops::kWidth;
+  int c = 0;
+  for (; c + 2 <= regs; c += 2) {
+    SignProjectTile<Ops, R, 2>(x, ldx, panel, ldp, dim, c * kW, out);
+  }
+  if (c < regs) {
+    SignProjectTile<Ops, R, 1>(x, ldx, panel, ldp, dim, c * kW, out);
+  }
+}
+
+template <typename Ops>
+void LshSignProjectImpl(const float* x, int64_t ldx, int64_t rows,
+                        const float* panel, int64_t dim, int64_t h_padded,
+                        int num_hashes, uint64_t* out) {
+  constexpr int kW = Ops::kWidth;
+  // Only the registers covering [0, num_hashes) run; h_padded is a
+  // multiple of kMaxWidth, hence of kW, so they never read past a row.
+  const int regs = (num_hashes + kW - 1) / kW;
+  for (int64_t w = 0; w < rows * kSignatureWords; ++w) out[w] = 0;
+  int64_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    SignProjectRows<Ops, 4>(x + i * ldx, ldx, panel, h_padded, dim, regs,
+                            out + i * kSignatureWords);
+  }
+  const float* xt = x + i * ldx;
+  uint64_t* ot = out + i * kSignatureWords;
+  switch (rows - i) {
+    case 3:
+      SignProjectRows<Ops, 3>(xt, ldx, panel, h_padded, dim, regs, ot);
+      break;
+    case 2:
+      SignProjectRows<Ops, 2>(xt, ldx, panel, h_padded, dim, regs, ot);
+      break;
+    case 1:
+      SignProjectRows<Ops, 1>(xt, ldx, panel, h_padded, dim, regs, ot);
+      break;
+    default:
+      break;
+  }
+}
+
 template <typename Ops>
 Kernels MakeKernels(Isa isa, const char* name) {
+  static_assert(kMaxWidth % Ops::kWidth == 0 && 64 % Ops::kWidth == 0,
+                "sign-projection lanes must tile the panel and the words");
   Kernels kernels;
   kernels.isa = isa;
   kernels.name = name;
@@ -265,6 +369,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
   kernels.gemm_block = &GemmBlockImpl<Ops>;
+  kernels.lsh_sign_project = &LshSignProjectImpl<Ops>;
   return kernels;
 }
 

@@ -400,6 +400,76 @@ TEST(ClusterCacheEvictionTest, ClearResetsCountersAndKeepsBudgets) {
   EXPECT_EQ(cache.TotalEntries(), 2);
 }
 
+// Regression: growing a table rehashes every live entry into new slots.
+// The rehash once left the entry -> slot back-pointers stale, so a later
+// eviction backward-shifted from the wrong slot and corrupted the table
+// (and aborted in debug builds). Grow one block through several rehashes
+// under each kind of budget, keep evicting, and check every lookup
+// against an unbounded reference map holding every payload ever
+// inserted: a resident entry must return exactly its own payload, and
+// every resident entry must stay findable.
+TEST(ClusterCacheEvictionTest, EvictionAfterTableGrowthKeepsEntriesFindable) {
+  constexpr int64_t kLength = 3, kM = 2, kBudgetEntries = 150;
+  const int64_t entry_bytes = (kLength + kM) * static_cast<int64_t>(sizeof(float)) +
+                              static_cast<int64_t>(sizeof(LshSignature));
+  for (const bool byte_budget : {false, true}) {
+    SCOPED_TRACE(byte_budget ? "max_bytes" : "max_entries");
+    ClusterReuseCache cache;
+    if (byte_budget) {
+      cache.set_max_bytes(kBudgetEntries * entry_bytes);
+    } else {
+      cache.set_max_entries(kBudgetEntries);
+    }
+    ReferenceClusterCache reference;
+    std::vector<LshSignature> inserted;
+    int64_t last_slots = 0, rehashes = 0;
+    for (int i = 0; i < 600; ++i) {
+      const LshSignature sig =
+          MakeSignature(static_cast<uint64_t>(i) * 0x9e37 + 1, i % 5);
+      ReferenceClusterCache::Entry entry;
+      for (int64_t j = 0; j < kLength; ++j) {
+        entry.representative.push_back(static_cast<float>(i * 10 + j));
+      }
+      for (int64_t j = 0; j < kM; ++j) {
+        entry.output.push_back(static_cast<float>(-i * 10 - j));
+      }
+      cache.Insert(0, sig, entry.representative.data(), kLength,
+                   entry.output.data(), kM);
+      reference.Insert(0, sig, std::move(entry));
+      inserted.push_back(sig);
+      // Touch a few older entries so the clock grants second chances.
+      if (i % 7 == 0) cache.Find(0, inserted[static_cast<size_t>(i / 2)]);
+      const int64_t slots = cache.GetStats().slots;
+      if (slots != last_slots) {
+        if (last_slots != 0) ++rehashes;
+        last_slots = slots;
+      }
+      if (i % 50 != 49) continue;
+      int64_t found = 0;
+      for (const LshSignature& s : inserted) {
+        ClusterReuseCache::View view;
+        if (!cache.Find(0, s, &view)) continue;
+        ++found;
+        const ReferenceClusterCache::Entry* want = reference.Find(0, s);
+        ASSERT_NE(want, nullptr);
+        ASSERT_EQ(view.length, kLength);
+        ASSERT_EQ(view.m, kM);
+        for (int64_t j = 0; j < kLength; ++j) {
+          ASSERT_EQ(view.representative[j],
+                    want->representative[static_cast<size_t>(j)]);
+        }
+        for (int64_t j = 0; j < kM; ++j) {
+          ASSERT_EQ(view.output[j], want->output[static_cast<size_t>(j)]);
+        }
+      }
+      ASSERT_EQ(found, cache.TotalEntries()) << "after insert " << i;
+    }
+    EXPECT_GE(rehashes, 2);
+    EXPECT_EQ(cache.TotalEntries(), kBudgetEntries);
+    EXPECT_EQ(cache.evictions(), 600 - kBudgetEntries);
+  }
+}
+
 TEST(ClusterCacheTest, StatsCountProbesAndSlots) {
   ClusterReuseCache cache;
   const float rep[] = {1.0f};

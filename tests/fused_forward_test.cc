@@ -159,6 +159,41 @@ TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
   }
 }
 
+TEST(FusedForwardTest, MatchesMaterializedAtCifarNetReuseShape) {
+  // The benchmarked CifarNet conv2 setting: K = 800 split into 80 blocks
+  // of L = 10 with H = 11, so each 64-row tile is hashed block by block
+  // in place at stride K. Batch and per-image scope.
+  ThreadCountGuard guard;
+  const ConvGeometry geo = MultiTileGeometry(3);
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  ASSERT_EQ(k, 800);
+
+  Rng rng(14);
+  const Tensor input = Tensor::RandomGaussian(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+      &rng);
+  const Tensor weight = Tensor::RandomGaussian(Shape({k, 16}), &rng);
+  const Tensor bias = Tensor::RandomGaussian(Shape({16}), &rng);
+  auto families = BlockLshFamilies::Create(k, 10, 11, 8);
+  ASSERT_TRUE(families.ok());
+  ASSERT_EQ(families->num_blocks(), 80);
+
+  for (const simd::Kernels* backend : Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const int threads : kThreadCounts) {
+      ThreadPool::SetGlobalThreads(threads);
+      for (const int64_t rows_per_group : {n, geo.rows_per_image()}) {
+        SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                     std::to_string(threads) +
+                     " rows_per_group=" + std::to_string(rows_per_group));
+        ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
+                                       rows_per_group, nullptr, nullptr);
+      }
+    }
+  }
+}
+
 TEST(FusedForwardTest, MatchesMaterializedWithMisalignedGroupBoundaries) {
   // Per-image scope: 49-row groups vs 64-row tiles, so the signature
   // table resets of the streaming clusterer land mid-tile.

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "tensor/tensor_ops.h"
 #include "tests/gradient_check.h"
 #include "tests/kernel_harness.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -286,7 +288,8 @@ TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
   const int num_hashes = 24;
   LshFamily family;
   ASSERT_TRUE(LshFamily::Create(dim, num_hashes, 17, &family).ok());
-  const std::vector<float>& planes_t = family.hyperplanes_t();
+  const std::vector<float>& panel = family.panel();
+  const int64_t ldp = family.padded_hashes();
   for (const simd::Kernels* backend : Backends()) {
     simd::ScopedKernelsOverride override_backend(*backend);
     for (int trial = 0; trial < 32; ++trial) {
@@ -297,7 +300,7 @@ TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
         double projection = 0.0;
         for (int64_t j = 0; j < dim; ++j) {
           projection += static_cast<double>(row[static_cast<size_t>(j)]) *
-                        planes_t[static_cast<size_t>(j) * num_hashes + h];
+                        panel[static_cast<size_t>(j * ldp + h)];
         }
         // Skip sign checks inside the rounding ambiguity band.
         if (std::abs(projection) < 1e-4) continue;
@@ -324,6 +327,102 @@ TEST(GoldenKernels, LshBatchedHashMatchesPerRowOnEveryBackend) {
           << backend->name << " row " << i;
     }
   }
+}
+
+// The sign-projection kernel behind every LSH signature, swept per
+// backend over remainder shapes: hash counts on both sides of each
+// vector width and of the 64-bit word boundary, row counts around the
+// 4-row register tile, and row strides equal to and larger than dim.
+// Every bit must match the sign of a double-precision projection outside
+// the rounding band, bits at or above H must be zero, and the strided,
+// per-row and contiguous batched signatures must be bitwise equal at 1
+// and 4 threads.
+TEST(GoldenKernels, LshSignProjectSweep) {
+  const int saved_threads = ThreadPool::GlobalThreads();
+  for (const simd::Kernels* backend : Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const int64_t dim : {1, 7, 10, 17, 37}) {
+      for (const int num_hashes : {1, 7, 8, 11, 16, 17, 64, 65, 128}) {
+        LshFamily family;
+        ASSERT_TRUE(LshFamily::Create(dim, num_hashes,
+                                      static_cast<uint64_t>(dim * 131 +
+                                                            num_hashes),
+                                      &family)
+                        .ok());
+        const std::vector<float>& panel = family.panel();
+        const int64_t ldp = family.padded_hashes();
+        ASSERT_EQ(ldp % simd::kMaxWidth, 0);
+        ASSERT_GE(ldp, num_hashes);
+        for (int64_t j = 0; j < dim; ++j) {
+          for (int64_t h = num_hashes; h < ldp; ++h) {
+            ASSERT_EQ(panel[static_cast<size_t>(j * ldp + h)], 0.0f)
+                << "padding lanes must be zero planes";
+          }
+        }
+        for (const int64_t rows : {1, 3, 4, 5, 65}) {
+          for (const int64_t stride : {dim, dim + 5}) {
+            SCOPED_TRACE(std::string(backend->name) +
+                         " dim=" + std::to_string(dim) +
+                         " h=" + std::to_string(num_hashes) +
+                         " rows=" + std::to_string(rows) +
+                         " stride=" + std::to_string(stride));
+            const std::vector<float> data = RandomVector(
+                rows * stride, static_cast<uint64_t>(6000 + dim * 7 +
+                                                     num_hashes * 3 + rows));
+            std::vector<LshSignature> direct(static_cast<size_t>(rows));
+            backend->lsh_sign_project(
+                data.data(), stride, rows, panel.data(), dim, ldp, num_hashes,
+                direct.data()->words.data());
+            int64_t sign_mismatches = 0, high_bits = 0;
+            for (int64_t i = 0; i < rows; ++i) {
+              const LshSignature& sig = direct[static_cast<size_t>(i)];
+              for (int h = 0; h < kMaxLshHashes; ++h) {
+                const bool bit = (sig.words[h >> 6] >> (h & 63)) & 1;
+                if (h >= num_hashes) {
+                  high_bits += bit;
+                  continue;
+                }
+                double projection = 0.0;
+                for (int64_t j = 0; j < dim; ++j) {
+                  projection +=
+                      static_cast<double>(
+                          data[static_cast<size_t>(i * stride + j)]) *
+                      panel[static_cast<size_t>(j * ldp + h)];
+                }
+                if (std::abs(projection) < 1e-4) continue;
+                sign_mismatches += bit != (projection > 0.0);
+              }
+            }
+            EXPECT_EQ(sign_mismatches, 0);
+            EXPECT_EQ(high_bits, 0) << "bits at or above H must be zero";
+
+            // The contiguous copy of the same rows.
+            std::vector<float> compact(static_cast<size_t>(rows * dim));
+            for (int64_t i = 0; i < rows; ++i) {
+              std::memcpy(compact.data() + i * dim, data.data() + i * stride,
+                          static_cast<size_t>(dim) * sizeof(float));
+            }
+            for (const int threads : {1, 4}) {
+              ThreadPool::SetGlobalThreads(threads);
+              std::vector<LshSignature> strided, batched;
+              family.HashRows(data.data(), rows, stride, &strided);
+              family.HashRows(compact.data(), rows, dim, &batched);
+              for (int64_t i = 0; i < rows; ++i) {
+                const LshSignature& want = direct[static_cast<size_t>(i)];
+                EXPECT_EQ(strided[static_cast<size_t>(i)], want)
+                    << "strided row " << i << " threads=" << threads;
+                EXPECT_EQ(batched[static_cast<size_t>(i)], want)
+                    << "batched row " << i << " threads=" << threads;
+                EXPECT_EQ(family.Hash(compact.data() + i * dim), want)
+                    << "per-row " << i << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
 }
 
 TEST(GoldenKernels, NormalizeRowsMatchesDoubleReference) {

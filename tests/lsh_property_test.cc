@@ -4,6 +4,7 @@
 // clustering rests on.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tests/kernel_harness.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -120,6 +122,37 @@ TEST(LshPropertyTest, SignatureStableAcrossBatchSplits) {
     EXPECT_EQ(second_half[static_cast<size_t>(i)],
               batched[static_cast<size_t>(16 + i)]);
   }
+}
+
+TEST(LshPropertyTest, SignaturesIndependentOfThreadCount) {
+  // Enough strided rows that HashRows splits them over the thread pool
+  // (also the TSan coverage of that ParallelFor): every backend must give
+  // the same signatures at 1 and 4 threads, equal to per-row hashing.
+  const int64_t dim = 37, stride = 45, rows = 1001;
+  LshFamily family;
+  ASSERT_TRUE(LshFamily::Create(dim, 128, 31, &family).ok());
+  ASSERT_GT(rows, GrainForCost(dim * family.padded_hashes()))
+      << "batch must span several ParallelFor chunks";
+  Rng rng(12);
+  Tensor data = Tensor::RandomGaussian(Shape({rows, stride}), &rng);
+  const int saved_threads = ThreadPool::GlobalThreads();
+  for (const simd::Kernels* backend : testutil::Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    std::vector<std::vector<LshSignature>> runs;
+    for (const int threads : {1, 4}) {
+      ThreadPool::SetGlobalThreads(threads);
+      runs.emplace_back();
+      family.HashRows(data.data(), rows, stride, &runs.back());
+    }
+    for (int64_t i = 0; i < rows; ++i) {
+      const LshSignature& sig = runs[0][static_cast<size_t>(i)];
+      EXPECT_EQ(runs[1][static_cast<size_t>(i)], sig)
+          << backend->name << " row " << i;
+      EXPECT_EQ(family.Hash(data.data() + i * stride), sig)
+          << backend->name << " row " << i;
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
 }
 
 // Fuzz-style invariance properties of the sign hash, checked on every
