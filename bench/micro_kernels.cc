@@ -49,9 +49,13 @@ void BM_Gemm(benchmark::State& state) {
 }
 void GemmArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"threads", "n", "k", "m"});
+  // The last two are CifarNet's conv2 and conv1 forward: im2col rows x
+  // patch length x output channels.
   for (const auto shape : {std::array<int64_t, 3>{256, 256, 256},
                            std::array<int64_t, 3>{1024, 400, 64},
-                           std::array<int64_t, 3>{4096, 75, 64}}) {
+                           std::array<int64_t, 3>{4096, 75, 64},
+                           std::array<int64_t, 3>{4096, 800, 32},
+                           std::array<int64_t, 3>{16384, 75, 32}}) {
     for (const int64_t threads : kThreadCounts) {
       bench->Args({threads, shape[0], shape[1], shape[2]});
     }
@@ -72,13 +76,20 @@ void BM_GemmTransA(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * k * m);
 }
-void GemmTransAArgs(benchmark::internal::Benchmark* bench) {
+// Backward shapes: CifarNet's conv2 and conv1 (im2col rows x patch length
+// x output channels), then its dense head at batch 16 (batch x inputs x
+// outputs of fc1).
+constexpr std::array<std::array<int64_t, 3>, 4> kBackwardShapes = {
+    {{1024, 400, 64}, {4096, 800, 32}, {16384, 75, 32}, {16, 2048, 64}}};
+void GemmBackwardArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"threads", "n", "k", "m"});
-  for (const int64_t threads : kThreadCounts) {
-    bench->Args({threads, 1024, 400, 64});
+  for (const auto& shape : kBackwardShapes) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, shape[0], shape[1], shape[2]});
+    }
   }
 }
-BENCHMARK(BM_GemmTransA)->Apply(GemmTransAArgs);
+BENCHMARK(BM_GemmTransA)->Apply(GemmBackwardArgs);
 
 void BM_GemmTransB(benchmark::State& state) {
   SetupThreads(state);
@@ -93,13 +104,7 @@ void BM_GemmTransB(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * k * m);
 }
-void GemmTransBArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"threads", "n", "k", "m"});
-  for (const int64_t threads : kThreadCounts) {
-    bench->Args({threads, 1024, 400, 64});
-  }
-}
-BENCHMARK(BM_GemmTransB)->Apply(GemmTransBArgs);
+BENCHMARK(BM_GemmTransB)->Apply(GemmBackwardArgs);
 
 void BM_NormalizeRows(benchmark::State& state) {
   SetupThreads(state);

@@ -13,12 +13,16 @@ Both files must be schema_version 1 documents written by BenchJsonEmitter:
 
 Records are matched by name. A record regresses when its metric grew by
 more than `threshold` relative to the baseline (times: bigger is worse).
-New and vanished benchmarks are reported but are not failures — renames
-happen; the threshold guards the ones that still match.
+A baseline record missing from the current run also fails: otherwise a
+dropped or filtered-out benchmark would silently leave the gate. New
+benchmarks are reported but not compared. A change that renames or
+removes a benchmark regenerates the checked-in baseline in the same
+change (scripts/bench_smoke.sh), so the gate keeps covering it.
 
-Exit status: 0 when no matched record regresses, 1 otherwise, 2 on bad
-input. CI runs this report-only (continue-on-error) because shared
-runners are noisy; locally it is a quick sanity diff between two runs.
+Exit status: 0 when no matched record regresses and no baseline record is
+missing, 1 otherwise, 2 on bad input. CI runs this report-only
+(continue-on-error) because shared runners are noisy; locally it is a
+quick sanity diff between two runs.
 """
 
 from __future__ import annotations
@@ -145,10 +149,13 @@ def main(argv=None):
     for name in added:
         print(f"  new benchmark (not compared): {name}")
     for name in removed:
-        print(f"  missing from current run: {name}")
+        print(f"  MISSING from current run: {name}")
 
     if regressions:
         print(f"{len(regressions)} regression(s) found")
+    if removed:
+        print(f"{len(removed)} baseline record(s) missing from current run")
+    if regressions or removed:
         return 1
     print("no regressions")
     return 0

@@ -160,6 +160,22 @@ class MainExitCodeTest(unittest.TestCase):
         with TempBenchFile(doc) as base:
             self.assertEqual(cbr.main([base, "/nonexistent.json"]), 2)
 
+    def test_missing_baseline_record_exits_one(self):
+        base_doc = make_doc(
+            [make_record("BM_A", 100.0), make_record("BM_B", 100.0)]
+        )
+        cur_doc = make_doc([make_record("BM_A", 100.0)])
+        with TempBenchFile(base_doc) as base, TempBenchFile(cur_doc) as cur:
+            self.assertEqual(cbr.main([base, cur]), 1)
+
+    def test_new_record_alone_exits_zero(self):
+        base_doc = make_doc([make_record("BM_A", 100.0)])
+        cur_doc = make_doc(
+            [make_record("BM_A", 100.0), make_record("BM_New", 100.0)]
+        )
+        with TempBenchFile(base_doc) as base, TempBenchFile(cur_doc) as cur:
+            self.assertEqual(cbr.main([base, cur]), 0)
+
     def test_rate_metric_regression(self):
         base_doc = make_doc([make_record("BM_A", 100.0, items_per_second=1e6)])
         cur_doc = make_doc([make_record("BM_A", 100.0, items_per_second=5e5)])

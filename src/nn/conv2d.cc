@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -20,14 +21,12 @@ Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
 
 void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
                 int64_t height, int64_t width, float* out) {
+  // Per image, [hw, channels] -> [channels, hw] is a plain transpose.
   const int64_t hw = height * width;
+  const simd::Kernels& kernels = simd::Active();
   for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t p = 0; p < hw; ++p) {
-      const float* row = rows + (n * hw + p) * channels;
-      for (int64_t c = 0; c < channels; ++c) {
-        out[(n * channels + c) * hw + p] = row[c];
-      }
-    }
+    kernels.transpose(rows + n * hw * channels, channels, hw, channels,
+                      out + n * channels * hw, hw);
   }
 }
 
@@ -46,13 +45,10 @@ void NchwToRows(const Tensor& nchw, float* out) {
   const int64_t height = nchw.shape()[2], width = nchw.shape()[3];
   const int64_t hw = height * width;
   const float* src = nchw.data();
+  const simd::Kernels& kernels = simd::Active();
   for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t p = 0; p < hw; ++p) {
-      float* row = out + (n * hw + p) * channels;
-      for (int64_t c = 0; c < channels; ++c) {
-        row[c] = src[(n * channels + c) * hw + p];
-      }
-    }
+    kernels.transpose(src + n * channels * hw, hw, channels, hw,
+                      out + n * hw * channels, channels);
   }
 }
 

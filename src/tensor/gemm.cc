@@ -16,18 +16,30 @@ constexpr int64_t kBlockM = 64;
 constexpr int64_t kBlockK = 128;
 constexpr int64_t kBlockN = 256;
 
-// Computes C rows [row_begin, row_end): the serial blocked kernel over a
-// row slice, with each cache block handed to the backend's register-tiled
-// microkernel. Each row's k-blocks accumulate in ascending order and the
-// microkernel's per-element order depends only on the shape, so any row
-// partitioning yields bit-identical results for a fixed backend.
+// Rows per ParallelFor chunk, shared by all three forms. Chunks are
+// multiples of kBlockM so the cache blocking inside a slice is the serial
+// kernel's.
+int64_t RowGrain(int64_t k, int64_t n) {
+  return std::max(kBlockM,
+                  (GrainForCost(k * n) + kBlockM - 1) / kBlockM * kBlockM);
+}
+
+void ZeroRows(float* c, int64_t row_begin, int64_t row_end, int64_t n) {
+  std::memset(c + row_begin * n, 0,
+              sizeof(float) * static_cast<size_t>((row_end - row_begin) * n));
+}
+
+// The three slice kernels below cut C into the same blocks and hand each
+// one to gemm_block. An output element sums its k-blocks in ascending
+// order, and gemm_block's per-element order depends only on k and on the
+// column's position in its block, so neither the row partition nor the
+// order in which blocks are visited changes a result.
+
+// Gemm: computes C rows [row_begin, row_end) of A * B.
 void GemmRowSlice(const simd::Kernels& kernels, const float* a,
                   const float* b, float* c, int64_t row_begin,
                   int64_t row_end, int64_t k, int64_t n, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c + row_begin * n, 0,
-                sizeof(float) * static_cast<size_t>((row_end - row_begin) * n));
-  }
+  if (!accumulate) ZeroRows(c, row_begin, row_end, n);
   for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
     const int64_t i1 = std::min(i0 + kBlockM, row_end);
     for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
@@ -41,69 +53,84 @@ void GemmRowSlice(const simd::Kernels& kernels, const float* a,
   }
 }
 
+// GemmTransA: A is KxM. Each (i, k) block of A^T is packed row-major into
+// a stack panel, once, and then serves every column block, in
+// GemmRowSlice's block order.
+void GemmTransARowSlice(const simd::Kernels& kernels, const float* a,
+                        const float* b, float* c, int64_t m,
+                        int64_t row_begin, int64_t row_end, int64_t k,
+                        int64_t n, bool accumulate) {
+  if (!accumulate) ZeroRows(c, row_begin, row_end, n);
+  // Left uninitialized: transpose writes every element gemm_block reads.
+  alignas(64) float panel[kBlockM * kBlockK];
+  for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
+    const int64_t i1 = std::min(i0 + kBlockM, row_end);
+    for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const int64_t k1 = std::min(k0 + kBlockK, k);
+      kernels.transpose(a + k0 * m + i0, m, k1 - k0, i1 - i0, panel, kBlockK);
+      for (int64_t j0 = 0; j0 < n; j0 += kBlockN) {
+        const int64_t j1 = std::min(j0 + kBlockN, n);
+        kernels.gemm_block(panel, kBlockK, b + k0 * n + j0, n,
+                           c + i0 * n + j0, n, i1 - i0, k1 - k0, j1 - j0);
+      }
+    }
+  }
+}
+
+// GemmTransB: B is NxK. Each (k, j) block of B^T is packed row-major into
+// a stack panel, once per slice, and then serves every row block of the
+// slice. The block loops run j, k, i rather than Gemm's i, k, j; each
+// element still sees its k-blocks in ascending order, so the sums match.
+void GemmTransBRowSlice(const simd::Kernels& kernels, const float* a,
+                        const float* b, float* c, int64_t row_begin,
+                        int64_t row_end, int64_t k, int64_t n,
+                        bool accumulate) {
+  if (!accumulate) ZeroRows(c, row_begin, row_end, n);
+  // Left uninitialized, like GemmTransARowSlice's panel.
+  alignas(64) float panel[kBlockK * kBlockN];
+  for (int64_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const int64_t j1 = std::min(j0 + kBlockN, n);
+    for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const int64_t k1 = std::min(k0 + kBlockK, k);
+      kernels.transpose(b + j0 * k + k0, k, j1 - j0, k1 - k0, panel, kBlockN);
+      for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
+        const int64_t i1 = std::min(i0 + kBlockM, row_end);
+        kernels.gemm_block(a + i0 * k + k0, k, panel, kBlockN,
+                           c + i0 * n + j0, n, i1 - i0, k1 - k0, j1 - j0);
+      }
+    }
+  }
+}
+
 }  // namespace
+
+// Each form is parallelized over disjoint slices of C rows. The backend is
+// resolved once on the calling thread so an override active here covers
+// the whole call.
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool accumulate) {
-  // Row-blocked parallelism: each chunk owns a disjoint slice of C rows.
-  // Chunks are multiples of kBlockM so the cache blocking inside a slice
-  // is unchanged from the serial kernel. The backend is resolved once on
-  // the calling thread so an override active here covers the whole call.
   const simd::Kernels& kernels = simd::Active();
-  const int64_t grain =
-      std::max(kBlockM, (GrainForCost(k * n) + kBlockM - 1) / kBlockM * kBlockM);
-  ParallelFor(m, grain, [&](int64_t row_begin, int64_t row_end) {
+  ParallelFor(m, RowGrain(k, n), [&](int64_t row_begin, int64_t row_end) {
     GemmRowSlice(kernels, a, b, c, row_begin, row_end, k, n, accumulate);
   });
 }
 
 void GemmTransA(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate) {
-  // A is stored KxM; iterate over rows of A (the k index) so both A and B
-  // are streamed sequentially. Parallelized over slices of C rows (the i
-  // index): every chunk reads all of A and B but writes a disjoint slice,
-  // and each row's k-accumulation order is chunk-independent.
   const simd::Kernels& kernels = simd::Active();
-  const int64_t grain =
-      std::max(kBlockM, (GrainForCost(k * n) + kBlockM - 1) / kBlockM * kBlockM);
-  ParallelFor(m, grain, [&](int64_t row_begin, int64_t row_end) {
-    if (!accumulate) {
-      std::memset(c + row_begin * n, 0,
-                  sizeof(float) *
-                      static_cast<size_t>((row_end - row_begin) * n));
-    }
-    for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const int64_t k1 = std::min(k0 + kBlockK, k);
-      for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
-        const int64_t i1 = std::min(i0 + kBlockM, row_end);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const float* a_row = a + kk * m;
-          const float* b_row = b + kk * n;
-          for (int64_t i = i0; i < i1; ++i) {
-            const float a_ki = a_row[i];
-            if (a_ki == 0.0f) continue;
-            kernels.axpy(a_ki, b_row, c + i * n, n);
-          }
-        }
-      }
-    }
+  ParallelFor(m, RowGrain(k, n), [&](int64_t row_begin, int64_t row_end) {
+    GemmTransARowSlice(kernels, a, b, c, m, row_begin, row_end, k, n,
+                       accumulate);
   });
 }
 
 void GemmTransB(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate) {
-  // B is stored NxK; each C[i][j] is a dot product of contiguous rows.
-  // Rows of C are independent, so row slices parallelize trivially.
   const simd::Kernels& kernels = simd::Active();
-  ParallelFor(m, GrainForCost(k * n), [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a + i * k;
-      float* c_row = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float sum = kernels.dot(a_row, b + j * k, k);
-        c_row[j] = accumulate ? c_row[j] + sum : sum;
-      }
-    }
+  ParallelFor(m, RowGrain(k, n), [&](int64_t row_begin, int64_t row_end) {
+    GemmTransBRowSlice(kernels, a, b, c, row_begin, row_end, k, n,
+                       accumulate);
   });
 }
 

@@ -1,9 +1,14 @@
 // Cache-blocked GEMM kernels, parallelized over disjoint row slices of C
 // through the shared thread pool (util/parallel.h). These are the
 // computational core that deep reuse removes work from, so their absolute
-// efficiency sets the denominator of every reported saving. Results are
-// bit-identical for any thread count: chunk boundaries depend only on the
-// problem shape and each output row's accumulation order is fixed.
+// efficiency sets the denominator of every reported saving. All three
+// forms run the same cache blocks through the same register-tiled
+// microkernel (simd::Kernels::gemm_block); the transposed forms pack their
+// transposed operand per block into a stack panel first, so they allocate
+// nothing and equal Gemm on an explicitly transposed operand bit for bit.
+// Results are bit-identical for any thread count: chunk boundaries depend
+// only on the problem shape and each output row's accumulation order is
+// fixed.
 
 #ifndef ADR_TENSOR_GEMM_H_
 #define ADR_TENSOR_GEMM_H_

@@ -66,9 +66,17 @@ struct Kernels {
   void (*copy)(const float* x, float* y, int64_t n);
   /// y[i] *= s
   void (*scale)(float s, float* y, int64_t n);
+  /// dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols; a
+  /// bitwise-exact copy on every backend. Full width x width tiles are
+  /// transposed in registers, so both sides move whole vectors. Packs the
+  /// transposed operands of GemmTransA/GemmTransB and converts conv
+  /// outputs between row and NCHW layouts.
+  void (*transpose)(const float* src, int64_t lds, int64_t rows,
+                    int64_t cols, float* dst, int64_t ldd);
   /// C[m x n] += A[m x k] * B[k x n]; row-major with leading dimensions
   /// lda/ldb/ldc >= the respective row lengths. The register-blocked FMA
-  /// microkernel behind Gemm/GemmTransA/GemmTransB's cache blocks. Each
+  /// microkernel behind every cache block of Gemm, GemmTransA and
+  /// GemmTransB (the latter two on packed, transposed operands). Each
   /// output element accumulates its k-products in ascending-k order, so
   /// for a fixed backend the result depends only on the operands.
   void (*gemm_block)(const float* a, int64_t lda, const float* b,

@@ -9,7 +9,8 @@
 //   static constexpr int kWidth — float lanes per register;
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
 //   Fma(a, b, acc) = a * b + acc, ReduceAdd(v),
-//   SignBits(v) — bit l set iff lane l > 0 (false for NaN).
+//   SignBits(v) — bit l set iff lane l > 0 (false for NaN),
+//   Transpose(v) — transposes the kWidth x kWidth tile in v[0..kWidth).
 //
 // Remainder lanes (n not a multiple of kWidth) run in scalar tail loops;
 // the golden harness sweeps such shapes explicitly.
@@ -42,6 +43,7 @@ struct ScalarOps {
   static Reg Fma(Reg a, Reg b, Reg acc) { return a * b + acc; }
   static float ReduceAdd(Reg v) { return v; }
   static uint32_t SignBits(Reg v) { return v > 0.0f ? 1u : 0u; }
+  static void Transpose(Reg*) {}
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -68,6 +70,34 @@ struct Avx2Ops {
     return static_cast<uint32_t>(_mm256_movemask_ps(
         _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
   }
+  static void Transpose(Reg* v) {
+    // Interleave pairs of rows, then pairs of pairs within each 128-bit
+    // half, then swap the halves.
+    const Reg t0 = _mm256_unpacklo_ps(v[0], v[1]);
+    const Reg t1 = _mm256_unpackhi_ps(v[0], v[1]);
+    const Reg t2 = _mm256_unpacklo_ps(v[2], v[3]);
+    const Reg t3 = _mm256_unpackhi_ps(v[2], v[3]);
+    const Reg t4 = _mm256_unpacklo_ps(v[4], v[5]);
+    const Reg t5 = _mm256_unpackhi_ps(v[4], v[5]);
+    const Reg t6 = _mm256_unpacklo_ps(v[6], v[7]);
+    const Reg t7 = _mm256_unpackhi_ps(v[6], v[7]);
+    const Reg u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+    const Reg u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+    const Reg u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+    const Reg u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+    const Reg u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+    const Reg u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+    const Reg u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+    const Reg u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+    v[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    v[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    v[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    v[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    v[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    v[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    v[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    v[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+  }
 };
 #endif  // __AVX2__ && __FMA__
 
@@ -91,6 +121,16 @@ struct NeonOps {
       bits |= static_cast<uint32_t>(lanes[l] > 0.0f) << l;
     }
     return bits;
+  }
+  static void Transpose(Reg* v) {
+    // vtrnq pairs lanes {0,2} and {1,3} of two rows; the 64-bit halves
+    // then assemble the columns.
+    const float32x4x2_t t01 = vtrnq_f32(v[0], v[1]);
+    const float32x4x2_t t23 = vtrnq_f32(v[2], v[3]);
+    v[0] = vcombine_f32(vget_low_f32(t01.val[0]), vget_low_f32(t23.val[0]));
+    v[1] = vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
+    v[2] = vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
+    v[3] = vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
   }
 };
 #endif  // __ARM_NEON
@@ -185,12 +225,43 @@ void ScaleImpl(float s, float* y, int64_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
+template <typename Ops>
+void TransposeImpl(const float* src, int64_t lds, int64_t rows, int64_t cols,
+                   float* dst, int64_t ldd) {
+  using Reg = typename Ops::Reg;
+  constexpr int kW = Ops::kWidth;
+  int64_t r0 = 0;
+  for (; r0 + kW <= rows; r0 += kW) {
+    int64_t c0 = 0;
+    for (; c0 + kW <= cols; c0 += kW) {
+      Reg tile[kW];
+#pragma GCC unroll 8
+      for (int r = 0; r < kW; ++r) {
+        tile[r] = Ops::Load(src + (r0 + r) * lds + c0);
+      }
+      Ops::Transpose(tile);
+#pragma GCC unroll 8
+      for (int c = 0; c < kW; ++c) {
+        Ops::Store(dst + (c0 + c) * ldd + r0, tile[c]);
+      }
+    }
+    for (int64_t c = c0; c < cols; ++c) {
+      for (int64_t r = r0; r < r0 + kW; ++r) dst[c * ldd + r] = src[r * lds + c];
+    }
+  }
+  for (; r0 < rows; ++r0) {
+    for (int64_t c = 0; c < cols; ++c) dst[c * ldd + r0] = src[r0 * lds + c];
+  }
+}
+
 // One tile of R rows of C: C[R x n] += A[R x k] * B[k x n]. Columns run
 // in tiles of two registers (the hot loop: one broadcast of A per row, two
 // FMAs reusing the loaded B registers across all R rows), then one
 // register, then a scalar tail. Accumulators live in registers across the
 // whole k loop and are added to C once, so each element's accumulation
-// order depends only on k.
+// order depends only on k. As in SignProjectTile, the r loops must unroll
+// completely or -O2 keeps acc[] on the stack; unrolling does not change
+// the FMA order.
 template <typename Ops, int R>
 void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
                  float* c, int64_t ldc, int64_t k, int64_t n) {
@@ -200,6 +271,7 @@ void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
   for (; j + 2 * kW <= n; j += 2 * kW) {
     Reg acc0[R];
     Reg acc1[R];
+#pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       acc0[r] = Ops::Zero();
       acc1[r] = Ops::Zero();
@@ -208,12 +280,14 @@ void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
     for (int64_t kk = 0; kk < k; ++kk) {
       const Reg b0 = Ops::Load(b_col + kk * ldb);
       const Reg b1 = Ops::Load(b_col + kk * ldb + kW);
+#pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         const Reg av = Ops::Broadcast(a[r * lda + kk]);
         acc0[r] = Ops::Fma(av, b0, acc0[r]);
         acc1[r] = Ops::Fma(av, b1, acc1[r]);
       }
     }
+#pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       float* c_row = c + r * ldc + j;
       Ops::Store(c_row, Ops::Add(Ops::Load(c_row), acc0[r]));
@@ -222,14 +296,17 @@ void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
   }
   for (; j + kW <= n; j += kW) {
     Reg acc[R];
+#pragma GCC unroll 4
     for (int r = 0; r < R; ++r) acc[r] = Ops::Zero();
     const float* b_col = b + j;
     for (int64_t kk = 0; kk < k; ++kk) {
       const Reg bv = Ops::Load(b_col + kk * ldb);
+#pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         acc[r] = Ops::Fma(Ops::Broadcast(a[r * lda + kk]), bv, acc[r]);
       }
     }
+#pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       float* c_row = c + r * ldc + j;
       Ops::Store(c_row, Ops::Add(Ops::Load(c_row), acc[r]));
@@ -368,6 +445,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.add = &AddImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
+  kernels.transpose = &TransposeImpl<Ops>;
   kernels.gemm_block = &GemmBlockImpl<Ops>;
   kernels.lsh_sign_project = &LshSignProjectImpl<Ops>;
   return kernels;

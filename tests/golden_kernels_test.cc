@@ -119,6 +119,34 @@ TEST(GoldenKernels, CopyIsBitwiseExactAndLeavesTailUntouched) {
   }
 }
 
+TEST(GoldenKernels, TransposeIsBitwiseExactAndLeavesPaddingUntouched) {
+  // GemmTransA/GemmTransB pack their transposed operands with this kernel,
+  // so it must be a pure bitwise move on every backend.
+  const std::vector<int64_t> sizes = {1, 3, 4, 7, 8, 9, 16, 17, 33};
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t rows : sizes) {
+      for (const int64_t cols : sizes) {
+        const int64_t lds = cols + 3;
+        const int64_t ldd = rows + 5;
+        const std::vector<float> src = RandomVector(rows * lds, 900 + rows);
+        std::vector<float> dst(static_cast<size_t>(cols * ldd), 99.0f);
+        backend->transpose(src.data(), lds, rows, cols, dst.data(), ldd);
+        for (int64_t c = 0; c < cols; ++c) {
+          for (int64_t r = 0; r < ldd; ++r) {
+            const float expected =
+                r < rows ? src[static_cast<size_t>(r * lds + c)] : 99.0f;
+            EXPECT_EQ(std::memcmp(&dst[static_cast<size_t>(c * ldd + r)],
+                                  &expected, sizeof(float)),
+                      0)
+                << backend->name << " rows=" << rows << " cols=" << cols
+                << " at (" << c << "," << r << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GoldenKernels, AxpyMatchesScalarWithinUlps) {
   const float s = -1.73f;
   for (const simd::Kernels* backend : Backends()) {
@@ -195,7 +223,8 @@ TEST(GoldenKernels, GemmBlockSweepWithLeadingDims) {
 }
 
 // Full Gemm/GemmTransA/GemmTransB under every backend vs the scalar
-// triple-loop reference, at remainder and block-crossing shapes.
+// triple-loop reference, at remainder and block-crossing shapes (the last
+// crosses every cache-block edge: 64 rows, depth 128, 256 columns).
 class GemmGoldenSweep
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>> {
 };
@@ -274,6 +303,51 @@ TEST_P(GemmGoldenSweep, TransposedVariantsMatchReference) {
   }
 }
 
+// GemmTransA and GemmTransB run Gemm's cache blocks and microkernel on
+// packed operands, so on every backend they must equal Gemm on explicitly
+// transposed operands bit for bit, with and without accumulate.
+TEST_P(GemmGoldenSweep, TransposedVariantsEqualGemmOnExplicitTranspose) {
+  const auto [m, k, n] = GetParam();
+  const std::vector<float> at = RandomVector(k * m, 61 + m + k);  // KxM
+  const std::vector<float> b = RandomVector(k * n, 71 + k + n);   // KxN
+  const std::vector<float> bt = RandomVector(n * k, 81 + k + n);  // NxK
+  const std::vector<float> a = RandomVector(m * k, 91 + m + n);   // MxK
+  const std::vector<float> c0 = RandomVector(m * n, 95 + m + n);
+  std::vector<float> a_mk(static_cast<size_t>(m * k));
+  for (int64_t i = 0; i < k; ++i) {
+    for (int64_t j = 0; j < m; ++j) a_mk[j * k + i] = at[i * m + j];
+  }
+  std::vector<float> b_kn(static_cast<size_t>(k * n));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < k; ++j) b_kn[j * n + i] = bt[i * k + j];
+  }
+  const auto expect_bitwise = [&](const std::vector<float>& actual,
+                                  const std::vector<float>& expected,
+                                  const char* what) {
+    ASSERT_EQ(std::memcmp(actual.data(), expected.data(),
+                          sizeof(float) * actual.size()),
+              0)
+        << what << " m=" << m << " k=" << k << " n=" << n;
+  };
+  for (const simd::Kernels* backend : Backends()) {
+    SCOPED_TRACE(backend->name);
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const bool accumulate : {false, true}) {
+      SCOPED_TRACE(accumulate ? "accumulate" : "overwrite");
+      std::vector<float> expected = c0;
+      std::vector<float> actual = c0;
+      Gemm(a_mk.data(), b.data(), expected.data(), m, k, n, accumulate);
+      GemmTransA(at.data(), b.data(), actual.data(), m, k, n, accumulate);
+      expect_bitwise(actual, expected, "TransA");
+      expected = c0;
+      actual = c0;
+      Gemm(a.data(), b_kn.data(), expected.data(), m, k, n, accumulate);
+      GemmTransB(a.data(), bt.data(), actual.data(), m, k, n, accumulate);
+      expect_bitwise(actual, expected, "TransB");
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmGoldenSweep,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(1, 3, 7),
@@ -281,7 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(17, 7, 1), std::make_tuple(17, 17, 17),
                       std::make_tuple(5, 129, 33),
                       std::make_tuple(65, 40, 31),
-                      std::make_tuple(9, 257, 15)));
+                      std::make_tuple(9, 257, 15),
+                      std::make_tuple(67, 131, 263)));
 
 TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
   const int64_t dim = 37;  // remainder lanes in the projection GEMM

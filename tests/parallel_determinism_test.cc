@@ -40,27 +40,35 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b, const char* what,
 
 TEST(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  const int64_t n = 300, k = 123, m = 77;
-  Rng rng(31);
-  Tensor a = Tensor::RandomGaussian(Shape({n, k}), &rng);
-  Tensor b = Tensor::RandomGaussian(Shape({k, m}), &rng);
-
-  ThreadPool::SetGlobalThreads(1);
-  Tensor reference(Shape({n, m}));
-  Gemm(a.data(), b.data(), reference.data(), n, k, m);
-
-  for (const int threads : kThreadCounts) {
-    ThreadPool::SetGlobalThreads(threads);
-    Tensor c(Shape({n, m}));
-    Gemm(a.data(), b.data(), c.data(), n, k, m);
-    ExpectBitIdentical(c, reference, "Gemm", threads);
-
-    Tensor ta(Shape({k, k}));
-    GemmTransA(a.data(), a.data(), ta.data(), k, n, k);
+  // {rows, depth, cols} of a conv layer's im2col GEMMs: a shape with
+  // remainders in every dimension, then CifarNet's conv2.
+  constexpr int64_t kShapes[][3] = {{300, 123, 77}, {4096, 800, 32}};
+  const char* names[] = {"Gemm", "GemmTransA", "GemmTransB"};
+  for (const auto& shape : kShapes) {
+    const int64_t n = shape[0], k = shape[1], m = shape[2];
+    SCOPED_TRACE(::testing::Message() << n << "x" << k << "x" << m);
+    Rng rng(31);
+    Tensor x = Tensor::RandomGaussian(Shape({n, k}), &rng);
+    Tensor w = Tensor::RandomGaussian(Shape({k, m}), &rng);
+    Tensor dy = Tensor::RandomGaussian(Shape({n, m}), &rng);
+    // The forward, dW = x^T dy and dX = dy W^T, as Conv2d runs them.
+    const auto run = [&] {
+      std::vector<Tensor> out = {Tensor(Shape({n, m})), Tensor(Shape({k, m})),
+                                 Tensor(Shape({n, k}))};
+      Gemm(x.data(), w.data(), out[0].data(), n, k, m);
+      GemmTransA(x.data(), dy.data(), out[1].data(), k, n, m);
+      GemmTransB(dy.data(), w.data(), out[2].data(), n, m, k);
+      return out;
+    };
     ThreadPool::SetGlobalThreads(1);
-    Tensor ta_ref(Shape({k, k}));
-    GemmTransA(a.data(), a.data(), ta_ref.data(), k, n, k);
-    ExpectBitIdentical(ta, ta_ref, "GemmTransA", threads);
+    const std::vector<Tensor> reference = run();
+    for (const int threads : kThreadCounts) {
+      ThreadPool::SetGlobalThreads(threads);
+      const std::vector<Tensor> got = run();
+      for (size_t i = 0; i < got.size(); ++i) {
+        ExpectBitIdentical(got[i], reference[i], names[i], threads);
+      }
+    }
   }
 }
 
