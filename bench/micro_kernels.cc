@@ -158,6 +158,31 @@ void ThreadsOnlyArgs(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_Im2Col)->Apply(ThreadsOnlyArgs);
 
+// The fold of the conv backward at CifarNet conv2's geometry (batch 16,
+// 32x16x16 input, 5x5 kernel, pad 2): N = 4096 rows of K = 800.
+void BM_Col2Im(benchmark::State& state) {
+  SetupThreads(state);
+  ConvGeometry geo;
+  geo.batch = 16;
+  geo.in_channels = 32;
+  geo.in_height = 16;
+  geo.in_width = 16;
+  geo.kernel_h = 5;
+  geo.kernel_w = 5;
+  geo.stride = 1;
+  geo.pad = 2;
+  Rng rng(4);
+  Tensor cols = Tensor::RandomGaussian(
+      Shape({geo.unfolded_rows(), geo.unfolded_cols()}), &rng);
+  Tensor grad_input(Shape({16, 32, 16, 16}));
+  for (auto _ : state) {
+    Col2Im(geo, cols, &grad_input);
+    benchmark::DoNotOptimize(grad_input.data());
+  }
+  state.SetItemsProcessed(state.iterations() * cols.num_elements());
+}
+BENCHMARK(BM_Col2Im)->Apply(ThreadsOnlyArgs);
+
 // Rows are read in place at `stride` floats apart: stride == dim is a
 // contiguous matrix, stride 800 / 75 are one L-column block of the
 // CifarNet conv2 / conv1 unfolded rows (K = 800 / 75, L = 10, H = 11).

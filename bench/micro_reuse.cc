@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/cluster_cache_reference.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
+#include "core/reuse_conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
@@ -402,6 +404,58 @@ BENCHMARK(BM_FusedClusteredForward)
     ->Apply([](benchmark::internal::Benchmark* b) {
       ThreadsLHArgs(b, {{100, 8}, {25, 12}});
     });
+
+// The reuse layer's whole backward (row sums, both per-block GEMMs and the
+// fold into the NCHW input gradient) at CifarNet conv2's geometry: batch
+// 16, 32x16x16 input, 5x5 kernel, pad 2, M = 32, L = 10, H = 11. Each
+// iteration reruns the same training forward untimed (it starts the
+// arena epoch Backward allocates from) and times Backward alone.
+void BM_ReuseConv2dBackward(benchmark::State& state) {
+  SetupThreads(state);
+  Conv2dConfig config;
+  config.in_channels = 32;
+  config.out_channels = 32;
+  config.kernel = 5;
+  config.stride = 1;
+  config.pad = 2;
+  config.in_height = 16;
+  config.in_width = 16;
+  ReuseConfig reuse;
+  reuse.sub_vector_length = 10;
+  reuse.num_hashes = 11;
+  Rng rng(23);
+  ReuseConv2d layer("bench_conv2", config, reuse, &rng);
+  // Smooth images with a little noise: few clusters per block, as on
+  // natural images.
+  Tensor input(Shape({16, 32, 16, 16}));
+  float* dst = input.data();
+  for (int64_t n = 0; n < 16; ++n) {
+    for (int64_t c = 0; c < 32; ++c) {
+      for (int64_t y = 0; y < 16; ++y) {
+        for (int64_t x = 0; x < 16; ++x) {
+          *dst++ = std::sin(0.3f * static_cast<float>(y + n) +
+                            0.2f * static_cast<float>(x) +
+                            0.7f * static_cast<float>(c)) +
+                   0.05f * rng.NextGaussian();
+        }
+      }
+    }
+  }
+  const Tensor grad_out =
+      Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    layer.Forward(input, /*training=*/true);
+    state.ResumeTiming();
+    Tensor grad_input = layer.Backward(grad_out);
+    benchmark::DoNotOptimize(grad_input.data());
+  }
+  state.counters["peak_workspace_bytes"] =
+      static_cast<double>(layer.workspace().reserved_bytes());
+  // Items = the dense backward MACs (2 * N * K * M) replaced.
+  state.SetItemsProcessed(state.iterations() * 2 * 4096 * 800 * 32);
+}
+BENCHMARK(BM_ReuseConv2dBackward)->Apply(ThreadsOnlyArgs);
 
 void BM_ExactDedup(benchmark::State& state) {
   SetupThreads(state);

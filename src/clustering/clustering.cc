@@ -2,7 +2,6 @@
 
 #include "tensor/simd.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace adr {
 
@@ -25,30 +24,6 @@ Tensor ComputeCentroids(const float* data, int64_t num_rows, int64_t row_dim,
                   row_dim);
   }
   return centroids;
-}
-
-void ScatterRows(const Tensor& cluster_rows, const Clustering& clustering,
-                 float* out, int64_t row_stride) {
-  ADR_CHECK_EQ(cluster_rows.shape().rank(), 2);
-  ADR_CHECK_EQ(cluster_rows.shape()[0], clustering.num_clusters());
-  ScatterRows(cluster_rows.data(), cluster_rows.shape()[1], clustering, out,
-              row_stride);
-}
-
-void ScatterRows(const float* cluster_rows, int64_t row_dim,
-                 const Clustering& clustering, float* out,
-                 int64_t row_stride) {
-  const float* src = cluster_rows;
-  const int64_t n = clustering.num_rows();
-  // Each output row is written by exactly one index: row chunks are
-  // race-free and the result is thread-count independent.
-  ParallelFor(n, GrainForCost(row_dim), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const float* from = src + clustering.assignment[i] * row_dim;
-      float* to = out + i * row_stride;
-      for (int64_t j = 0; j < row_dim; ++j) to[j] = from[j];
-    }
-  });
 }
 
 }  // namespace adr

@@ -36,17 +36,6 @@ struct Clustering {
 Tensor ComputeCentroids(const float* data, int64_t num_rows, int64_t row_dim,
                         int64_t row_stride, const Clustering& clustering);
 
-/// \brief Scatters per-cluster rows back to per-member rows:
-/// out[i] = in[assignment[i]]. `in` is |C| x L, `out` is N x L.
-void ScatterRows(const Tensor& cluster_rows, const Clustering& clustering,
-                 float* out, int64_t row_stride);
-
-/// \brief Raw-pointer ScatterRows for arena-backed buffers; `cluster_rows`
-/// is |C| x `row_dim` row-major.
-void ScatterRows(const float* cluster_rows, int64_t row_dim,
-                 const Clustering& clustering, float* out,
-                 int64_t row_stride);
-
 }  // namespace adr
 
 #endif  // ADR_CLUSTERING_CLUSTERING_H_

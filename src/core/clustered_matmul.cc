@@ -252,9 +252,13 @@ void FusedClusteredForward(const BlockLshFamilies& families,
     float* tile = scratch.Floats(tile_rows * k);
     for (int64_t row = 0; row < n; row += tile_rows) {
       const int64_t rows = std::min(tile_rows, n - row);
-      ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
-        Im2ColRows(geo, input_nchw, row + begin, row + end, tile + begin * k);
-      });
+      {
+        ADR_TRACE_SPAN("im2col_tile");
+        ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
+          Im2ColRows(geo, input_nchw, row + begin, row + end,
+                     tile + begin * k);
+        });
+      }
       clusterer->ConsumeTile(tile, row, rows);
     }
     *clustering = clusterer->Finish();

@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "core/subvector_clustering.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace_arena.h"
 
@@ -35,21 +36,50 @@ struct BackwardReuseResult {
 ///   dW_I      = x_{c,I}^T * dy_{c,I,s}                        (Eq. 10);
 ///   dy_{c,sa} = dy_{c,s} with each row divided by its cluster size;
 ///   dx_{c,I}  = dy_{c,I,sa} * W_I^T                           (Eq. 18),
-/// and the centroid delta is scattered to every member row (Eq. 13).
+/// and every row of dx gathers its clusters' centroid deltas (Eq. 13).
 /// grad_bias is exact (column sums of dy), matching the baseline layer.
 BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
                                   const Tensor& weight, const Tensor& dy);
 
-/// \brief ReuseBackward into caller-owned buffers — the allocation-free
-/// form the conv layers drive from persistent gradients and a workspace
-/// arena. `dy` is N x M; `grad_weight` ([K, M]), `grad_bias` ([M]) and
-/// `grad_x` ([N, K]) are fully overwritten; per-block scratch bumps from
+/// \brief ReuseBackward into caller-owned buffers: the N x K form used by
+/// tests and benches. `dy` is N x M; `grad_weight` ([K, M]), `grad_bias`
+/// ([M]) and `grad_x` ([N, K]) are fully overwritten; scratch bumps from
 /// `arena` (heap fallback when null). Bit-identical to ReuseBackward.
 void ReuseBackwardInto(const ReuseClustering& clustering,
                        const Tensor& weight, const float* dy,
                        WorkspaceArena* arena, float* grad_weight,
                        float* grad_bias, float* grad_x,
                        BackwardReuseStats* stats);
+
+/// \brief The reuse backward of a convolution with the input delta folded
+/// straight into the NCHW input gradient: the conv layer's form. Each
+/// unfolded row of dx is gathered from the blocks' centroid deltas into a
+/// K-float buffer and added into `grad_input` ([Nb, Ic, Ih, Iw] of `geo`,
+/// fully overwritten) by Col2ImRows, so the N x K dx is never allocated.
+/// grad_input is bitwise equal to Col2Im of ReuseBackwardInto's grad_x;
+/// grad_weight and grad_bias are the same as there.
+void ReuseBackwardFoldInto(const ReuseClustering& clustering,
+                           const Tensor& weight, const float* dy,
+                           const ConvGeometry& geo, WorkspaceArena* arena,
+                           float* grad_weight, float* grad_bias,
+                           float* grad_input, BackwardReuseStats* stats);
+
+/// \brief Fixed number of row ranges of ClusterRowSums' reduction.
+inline constexpr int64_t kReduceChunks = 8;
+
+/// \brief dy_{c,s} (Eq. 8): `sums` (|C| x m, overwritten) receives, per
+/// cluster, the sum of the rows of `dy` (N x m) assigned to it.
+///
+/// The rows are split into min(kReduceChunks, N) fixed ranges
+/// [c*N/chunks, (c+1)*N/chunks). Each cluster sums its rows of one range
+/// from +0 in ascending row order, and adds the range sums to its sum
+/// (seeded +0) in ascending range order. The order depends only on N, so
+/// the sums are bitwise identical at any thread count. Each cluster finds
+/// its rows through a CSR member list (scratch bumped from `scratch`) and
+/// keeps both sums in registers (simd::Kernels::segment_row_sums), so no
+/// chunks x |C| x m partial buffer exists.
+void ClusterRowSums(const float* dy, const Clustering& clustering, int64_t m,
+                    ScratchAllocator* scratch, float* sums);
 
 }  // namespace adr
 

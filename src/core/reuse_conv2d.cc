@@ -303,7 +303,8 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
                                           geo.out_width()}));
   float* dy = arena_.AllocFloats(n * m);
   NchwToRows(grad_output, dy);
-  float* dx_cols = arena_.AllocFloats(n * k);
+  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
+                           config_.in_height, config_.in_width}));
 
   if (exact_backward_ || !reuse_.enabled) {
     // Ablation path: exact gradients from the cached unfolded input.
@@ -312,6 +313,7 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
         << "exact_backward requires the unfolded input cached in Forward";
     GemmTransA(cached_cols_data_, dy, grad_weight_.data(), k, n, m);
     ColumnSumsInto(dy, n, m, grad_bias_.data());
+    float* dx_cols = arena_.AllocFloats(n * k);
     GemmTransB(dy, weight_.data(), dx_cols, n, m, k);
     const double seconds = timer.ElapsedSeconds();
     stats_.backward_seconds += seconds;
@@ -320,11 +322,14 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     MetricsRegistry::Global()
         .histogram(metric_prefix_ + "backward_seconds")
         ->Record(seconds);
+    Col2Im(geo, dx_cols, grad_input.data());
   } else {
+    // The centroid deltas fold straight into grad_input; the N x K input
+    // delta never exists.
     BackwardReuseStats bstats;
-    ReuseBackwardInto(cached_clustering_, weight_, dy, &arena_,
-                      grad_weight_.data(), grad_bias_.data(), dx_cols,
-                      &bstats);
+    ReuseBackwardFoldInto(cached_clustering_, weight_, dy, geo, &arena_,
+                          grad_weight_.data(), grad_bias_.data(),
+                          grad_input.data(), &bstats);
     stats_.backward_seconds += bstats.seconds;
     stats_.macs_executed += bstats.macs;
     stats_.macs_baseline += bstats.macs_baseline;
@@ -333,9 +338,6 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
         ->Record(bstats.seconds);
   }
 
-  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
-                           config_.in_height, config_.in_width}));
-  Col2Im(geo, dx_cols, grad_input.data());
   PublishWorkspaceMetrics();
   return grad_input;
 }

@@ -6,6 +6,7 @@
 
 #include "tensor/simd.h"
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace adr {
 
@@ -113,21 +114,36 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
   num_rows_ = num_rows;
   rows_per_group_ = rows_per_group;
   next_row_ = 0;
-  // Same sizing rule as ClusterBySignature's per-group table; the table is
-  // (re)filled with -1 at every group boundary inside ConsumeTile, so
-  // Begin only has to guarantee capacity.
+  // A group holds at most min(rows_per_group, 2^H) distinct signatures;
+  // twice that, rounded up to a power of two, keeps the load factor at or
+  // below 1/2.
+  const int num_hashes = families->family(0).num_hashes();
+  const int64_t distinct =
+      num_hashes >= 62 ? rows_per_group
+                       : std::min(rows_per_group, int64_t{1} << num_hashes);
   size_t capacity = 16;
-  while (capacity < 2 * static_cast<size_t>(rows_per_group)) capacity <<= 1;
+  while (capacity < 2 * static_cast<size_t>(distinct)) capacity <<= 1;
   table_mask_ = capacity - 1;
   blocks_.resize(static_cast<size_t>(families->num_blocks()));
   for (BlockState& bs : blocks_) {
-    bs.slot_id.resize(capacity);
-    bs.slot_sig.resize(capacity);
+    if (bs.slot_id.size() == capacity) {
+      ResetGroup(&bs);  // leftovers of the previous cycle's last group
+    } else {
+      bs.slot_id.assign(capacity, -1);
+      bs.used_slots.clear();
+    }
     bs.centroids.clear();
     bs.sizes.clear();
     bs.sigs.clear();
     bs.assignment.resize(static_cast<size_t>(num_rows));
   }
+}
+
+void StreamingSubVectorClusterer::ResetGroup(BlockState* bs) {
+  for (const int32_t slot : bs->used_slots) {
+    bs->slot_id[static_cast<size_t>(slot)] = -1;
+  }
+  bs->used_slots.clear();
 }
 
 void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
@@ -137,38 +153,45 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
   ADR_CHECK_GT(tile_rows, 0);
   ADR_CHECK_LE(row_begin + tile_rows, num_rows_);
   const int64_t k = families_->k();
-  const simd::Kernels& kernels = simd::Active();
+  const int64_t num_blocks = families_->num_blocks();
   const LshSignatureHash sig_hasher;
 
-  for (int64_t b = 0; b < families_->num_blocks(); ++b) {
+  // Every block's columns are hashed in place at stride k, through the
+  // same kernel call ClusterSubVectors makes on the full matrix.
+  {
+    ADR_TRACE_SPAN("lsh_hash");
+    for (int64_t b = 0; b < num_blocks; ++b) {
+      BlockState& bs = blocks_[static_cast<size_t>(b)];
+      bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
+      families_->family(b).HashRowsInto(tile + families_->block_offset(b),
+                                        tile_rows, k, bs.tile_sigs.data());
+    }
+  }
+
+  // Serial per-row pass in ascending global row order: id assignment
+  // replays ClusterBySignature's first-seen order (with the per-group
+  // reset), and the centroid sums accumulate in ComputeCentroids' row
+  // order with the same elementwise adds, so both are bit-identical to
+  // the materialized path.
+  ADR_TRACE_SPAN("cluster_pass");
+  for (int64_t b = 0; b < num_blocks; ++b) {
     BlockState& bs = blocks_[static_cast<size_t>(b)];
     const int64_t offset = families_->block_offset(b);
     const int64_t length = families_->block_length(b);
-    // The block's columns are hashed in place at stride k, through the
-    // same kernel call ClusterSubVectors makes on the full matrix.
-    bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
-    families_->family(b).HashRowsInto(tile + offset, tile_rows, k,
-                                      bs.tile_sigs.data());
-
-    // Serial per-row pass in ascending global row order: id assignment
-    // replays ClusterBySignature's first-seen order (with the per-group
-    // reset), and the centroid sums accumulate in ComputeCentroids' row
-    // order, so both are bit-identical to the materialized path.
     for (int64_t i = 0; i < tile_rows; ++i) {
       const int64_t row = row_begin + i;
-      if (row % rows_per_group_ == 0) {
-        std::fill(bs.slot_id.begin(), bs.slot_id.end(), -1);
-      }
+      if (row % rows_per_group_ == 0) ResetGroup(&bs);
       const LshSignature& sig = bs.tile_sigs[static_cast<size_t>(i)];
       size_t slot = sig_hasher(sig) & table_mask_;
-      while (bs.slot_id[slot] >= 0 && !(bs.slot_sig[slot] == sig)) {
+      int32_t id;
+      while ((id = bs.slot_id[slot]) >= 0 &&
+             !(bs.sigs[static_cast<size_t>(id)] == sig)) {
         slot = (slot + 1) & table_mask_;
       }
-      int32_t id = bs.slot_id[slot];
       if (id < 0) {
         id = static_cast<int32_t>(bs.sizes.size());
         bs.slot_id[slot] = id;
-        bs.slot_sig[slot] = sig;
+        bs.used_slots.push_back(static_cast<int32_t>(slot));
         bs.sizes.push_back(0);
         bs.sigs.push_back(sig);
         bs.centroids.resize(bs.centroids.size() +
@@ -177,8 +200,9 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
       }
       bs.assignment[static_cast<size_t>(row)] = id;
       ++bs.sizes[static_cast<size_t>(id)];
-      kernels.add(tile + i * k + offset, bs.centroids.data() + id * length,
-                  length);
+      const float* src = tile + i * k + offset;
+      float* sum = bs.centroids.data() + id * length;
+      for (int64_t j = 0; j < length; ++j) sum[j] += src[j];
     }
   }
   next_row_ += tile_rows;

@@ -98,8 +98,13 @@ ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
 ///     same reset at every rows_per_group boundary (tiles need not align
 ///     with group boundaries);
 ///   - centroid sums accumulate in the same ascending row order with the
-///     same SIMD kernels, and are scaled once in ascending cluster order
-///     at Finish — exactly ComputeCentroids' operation order.
+///     same elementwise adds (inlined; kernels.add performs the identical
+///     single add per lane), and are scaled once in ascending cluster
+///     order at Finish — exactly ComputeCentroids' operation order.
+///
+/// Per block, the signature table holds only cluster ids and is sized
+/// for the distinct signatures a group can hold, min(rows_per_group,
+/// 2^H), at load factor <= 1/2.
 ///
 /// All buffers persist across Begin/Finish cycles; pair Finish with a
 /// later Recycle() of the returned ReuseClustering so steady-state
@@ -127,9 +132,12 @@ class StreamingSubVectorClusterer {
  private:
   struct BlockState {
     // Open-addressing signature table, persistent across tiles within a
-    // group; slot ids are global (running) cluster ids.
+    // group. A slot holds only a global (running) cluster id, -1 when
+    // empty; a probe compares against sigs[id].
     std::vector<int32_t> slot_id;
-    std::vector<LshSignature> slot_sig;
+    // Slots filled in the current group: the next group reset (or the
+    // next Begin) empties exactly these.
+    std::vector<int32_t> used_slots;
     // Growing per-cluster state, moved into the result at Finish.
     std::vector<float> centroids;  // |C| x length running sums
     std::vector<int64_t> sizes;
@@ -140,6 +148,9 @@ class StreamingSubVectorClusterer {
     // Per-tile signature buffer.
     std::vector<LshSignature> tile_sigs;
   };
+
+  // Empties the slots the current group filled in `bs`.
+  static void ResetGroup(BlockState* bs);
 
   const BlockLshFamilies* families_ = nullptr;
   int64_t num_rows_ = 0;

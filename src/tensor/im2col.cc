@@ -1,6 +1,7 @@
 #include "tensor/im2col.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "util/parallel.h"
@@ -47,18 +48,35 @@ void Im2ColRows(const ConvGeometry& geo, const float* input,
   int64_t oy = rem / ow;
   int64_t ox = rem % ow;
   float* dst = out;
+  const int64_t kh = geo.kernel_h, kw = geo.kernel_w;
   for (int64_t row = row_begin; row < row_end; ++row) {
     const float* img = input + n * img_stride;
-    // One output row: all (c, ky, kx) taps of this receptive field.
+    // One output row: all (c, ky, kx) taps of this receptive field. Per
+    // (c, ky) the taps inside the image are one contiguous run, clipped
+    // once; the taps in the padding are zeros.
+    const int64_t y0 = oy * geo.stride - geo.pad;
+    const int64_t x0 = ox * geo.stride - geo.pad;
+    const int64_t kx_lo = std::min(kw, std::max<int64_t>(0, -x0));
+    const int64_t kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
     for (int64_t c = 0; c < geo.in_channels; ++c) {
       const float* chan = img + c * chan_stride;
-      for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
-        const int64_t y = oy * geo.stride + ky - geo.pad;
-        for (int64_t kx = 0; kx < geo.kernel_w; ++kx) {
-          const int64_t x = ox * geo.stride + kx - geo.pad;
-          const bool inside = y >= 0 && y < ih && x >= 0 && x < iw;
-          *dst++ = inside ? chan[y * iw + x] : 0.0f;
+      for (int64_t ky = 0; ky < kh; ++ky, dst += kw) {
+        const int64_t y = y0 + ky;
+        if (y < 0 || y >= ih) {
+          std::fill_n(dst, kw, 0.0f);
+          continue;
         }
+        for (int64_t kx = 0; kx < kx_lo; ++kx) dst[kx] = 0.0f;
+        // Taps [kx_lo, kx_hi) are image columns x0 + kx_lo onwards. Fixed
+        // 4-float moves: a plain loop would become one memcpy call per
+        // short run.
+        const float* src = chan + y * iw + (x0 + kx_lo);
+        float* run = dst + kx_lo;
+        const int64_t len = kx_hi - kx_lo;
+        int64_t j = 0;
+        for (; j + 4 <= len; j += 4) std::memcpy(run + j, src + j, 16);
+        for (; j < len; ++j) run[j] = src[j];
+        for (int64_t kx = kx_hi; kx < kw; ++kx) dst[kx] = 0.0f;
       }
     }
     if (++ox == ow) {
@@ -110,35 +128,51 @@ void Col2Im(const ConvGeometry& geo, const Tensor& grad_cols,
 
 void Col2Im(const ConvGeometry& geo, const float* grad_cols,
             float* grad_input) {
+  const int64_t k = geo.unfolded_cols();
+  Col2ImRows(geo, grad_input, /*scratch=*/nullptr,
+             [grad_cols, k](int64_t row, float*) {
+               return grad_cols + row * k;
+             });
+}
+
+void Col2ImRows(const ConvGeometry& geo, float* grad_input, float* scratch,
+                Col2ImRowSource row_of) {
   const int64_t oh = geo.out_height();
   const int64_t ow = geo.out_width();
-  const int64_t total =
-      geo.batch * geo.in_channels * geo.in_height * geo.in_width;
-  for (int64_t i = 0; i < total; ++i) grad_input[i] = 0.0f;
-  const float* src_data = grad_cols;
-  float* out = grad_input;
   const int64_t ih = geo.in_height, iw = geo.in_width;
+  const int64_t kh = geo.kernel_h, kw = geo.kernel_w;
+  const int64_t k = geo.unfolded_cols();
   const int64_t chan_stride = ih * iw;
-  const int64_t cols_per_image = geo.rows_per_image() * geo.unfolded_cols();
+  const int64_t img_stride = geo.in_channels * chan_stride;
+  const int64_t rows_per_image = oh * ow;
 
   // Per-image parallelism: patches only overlap within one image, so each
-  // chunk accumulates into a disjoint [Ic, Ih, Iw] slab.
+  // chunk zeroes and accumulates into a disjoint [Ic, Ih, Iw] slab.
   ParallelFor(geo.batch, 1, [&](int64_t n_begin, int64_t n_end) {
     for (int64_t n = n_begin; n < n_end; ++n) {
-      float* img = out + n * geo.in_channels * chan_stride;
-      const float* src = src_data + n * cols_per_image;
+      float* img = grad_input + n * img_stride;
+      std::fill_n(img, static_cast<size_t>(img_stride), 0.0f);
+      float* buf = scratch == nullptr ? nullptr : scratch + n * k;
+      int64_t row = n * rows_per_image;
       for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
+        // Kernel rows and columns that land inside the image.
+        const int64_t y0 = oy * geo.stride - geo.pad;
+        const int64_t ky_lo = std::max<int64_t>(0, -y0);
+        const int64_t ky_hi = std::min<int64_t>(kh, ih - y0);
+        for (int64_t ox = 0; ox < ow; ++ox, ++row) {
+          const int64_t x0 = ox * geo.stride - geo.pad;
+          const int64_t kx_lo = std::max<int64_t>(0, -x0);
+          const int64_t kx_hi = std::min<int64_t>(kw, iw - x0);
+          if (ky_lo >= ky_hi || kx_lo >= kx_hi) continue;  // all padding
+          const int64_t run = kx_hi - kx_lo;
+          const float* src = row_of(row, buf);
           for (int64_t c = 0; c < geo.in_channels; ++c) {
             float* chan = img + c * chan_stride;
-            for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
-              const int64_t y = oy * geo.stride + ky - geo.pad;
-              for (int64_t kx = 0; kx < geo.kernel_w; ++kx) {
-                const int64_t x = ox * geo.stride + kx - geo.pad;
-                const bool inside = y >= 0 && y < ih && x >= 0 && x < iw;
-                if (inside) chan[y * iw + x] += *src;
-                ++src;
-              }
+            const float* taps = src + c * kh * kw;
+            for (int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+              float* dst = chan + (y0 + ky) * iw + (x0 + kx_lo);
+              const float* from = taps + ky * kw + kx_lo;
+              for (int64_t j = 0; j < run; ++j) dst[j] += from[j];
             }
           }
         }

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "tensor/tensor.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace adr {
@@ -70,9 +71,29 @@ void Col2Im(const ConvGeometry& geo, const Tensor& grad_cols,
 void Im2Col(const ConvGeometry& geo, const float* input, float* out);
 
 /// \brief Raw-pointer Col2Im for arena-backed buffers; `grad_input`
-/// (Nb*Ic*Ih*Iw floats) is zeroed first, then accumulated into.
+/// (Nb*Ic*Ih*Iw floats) is zeroed first, then accumulated into. The
+/// identity row source of Col2ImRows.
 void Col2Im(const ConvGeometry& geo, const float* grad_cols,
             float* grad_input);
+
+/// \brief Supplies unfolded row `row` (K floats) to Col2ImRows: either a
+/// pointer into existing storage or `buf` after writing the row into it.
+/// `buf` is K floats private to the calling chunk.
+using Col2ImRowSource = FunctionRef<const float*(int64_t row, float* buf)>;
+
+/// \brief The one col2im fold loop. `grad_input` (Nb*Ic*Ih*Iw floats) is
+/// zeroed, then every unfolded row, taken from `row_of`, is added into
+/// its receptive field: per (channel, kernel row) one contiguous kx run,
+/// clipped to the image once, so no tap carries a bounds branch.
+///
+/// Images fold in parallel (patches overlap only within one image);
+/// within an image rows are added in ascending order and each pixel gets
+/// at most one add per row, so the result is bitwise independent of the
+/// thread count and of how the row source produces its values.
+/// `scratch` holds Nb*K floats (image n's row buffer is scratch + n*K);
+/// it may be null when `row_of` never writes `buf`.
+void Col2ImRows(const ConvGeometry& geo, float* grad_input, float* scratch,
+                Col2ImRowSource row_of);
 
 /// \brief Rows per tile for the L2-resident tiled pipelines: a tile of
 /// `row_width` floats per row should occupy roughly 192 KiB (leaving the

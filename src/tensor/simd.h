@@ -60,6 +60,17 @@ struct Kernels {
   void (*axpy)(float s, const float* x, float* y, int64_t n);
   /// y[i] += x[i]
   void (*add)(const float* x, float* y, int64_t n);
+  /// Row sums with a fixed two-level order, the cluster row sums of the
+  /// reuse backward. The listed rows x[rows[r] * ldx ...] are split into
+  /// segments [seg[g], seg[g + 1]) for g < num_segs; each segment is summed
+  /// from +0 one row at a time in list order, and
+  ///   y[i] = (((+0 + S_0[i]) + S_1[i]) + ...) + S_{num_segs - 1}[i]
+  /// overwrites y. Both sums stay in registers; every lane sees the same
+  /// single-rounding adds on every backend, so the result is bitwise
+  /// backend-independent.
+  void (*segment_row_sums)(const float* x, int64_t ldx, const int32_t* rows,
+                           const int64_t* seg, int64_t num_segs, float* y,
+                           int64_t n);
   /// y[i] = x[i]; bitwise-exact on every backend (the cluster-cache
   /// gather and other row moves route through this instead of memcpy so
   /// the wide loads/stores stay in the dispatched ISA).

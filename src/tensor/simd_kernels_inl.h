@@ -204,6 +204,59 @@ void AddImpl(const float* x, float* y, int64_t n) {
 }
 
 template <typename Ops>
+void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
+                        const int64_t* seg, int64_t num_segs, float* y,
+                        int64_t n) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  int64_t i = 0;
+  // Four registers of the total and four of the segment sum per pass.
+  for (; i + 4 * kW <= n; i += 4 * kW) {
+    Reg t0 = Ops::Zero(), t1 = Ops::Zero(), t2 = Ops::Zero(),
+        t3 = Ops::Zero();
+    for (int64_t g = 0; g < num_segs; ++g) {
+      Reg s0 = Ops::Zero(), s1 = Ops::Zero(), s2 = Ops::Zero(),
+          s3 = Ops::Zero();
+      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
+        const float* row = x + rows[r] * ldx + i;
+        s0 = Ops::Add(s0, Ops::Load(row));
+        s1 = Ops::Add(s1, Ops::Load(row + kW));
+        s2 = Ops::Add(s2, Ops::Load(row + 2 * kW));
+        s3 = Ops::Add(s3, Ops::Load(row + 3 * kW));
+      }
+      t0 = Ops::Add(t0, s0);
+      t1 = Ops::Add(t1, s1);
+      t2 = Ops::Add(t2, s2);
+      t3 = Ops::Add(t3, s3);
+    }
+    Ops::Store(y + i, t0);
+    Ops::Store(y + i + kW, t1);
+    Ops::Store(y + i + 2 * kW, t2);
+    Ops::Store(y + i + 3 * kW, t3);
+  }
+  for (; i + kW <= n; i += kW) {
+    Reg total = Ops::Zero();
+    for (int64_t g = 0; g < num_segs; ++g) {
+      Reg sum = Ops::Zero();
+      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
+        sum = Ops::Add(sum, Ops::Load(x + rows[r] * ldx + i));
+      }
+      total = Ops::Add(total, sum);
+    }
+    Ops::Store(y + i, total);
+  }
+  for (; i < n; ++i) {
+    float total = 0.0f;
+    for (int64_t g = 0; g < num_segs; ++g) {
+      float sum = 0.0f;
+      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) sum += x[rows[r] * ldx + i];
+      total += sum;
+    }
+    y[i] = total;
+  }
+}
+
+template <typename Ops>
 void CopyImpl(const float* x, float* y, int64_t n) {
   constexpr int64_t kW = Ops::kWidth;
   int64_t i = 0;
@@ -443,6 +496,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.squared_norm = &SquaredNormImpl<Ops>;
   kernels.axpy = &AxpyImpl<Ops>;
   kernels.add = &AddImpl<Ops>;
+  kernels.segment_row_sums = &SegmentRowSumsImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
   kernels.transpose = &TransposeImpl<Ops>;

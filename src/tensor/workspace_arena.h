@@ -116,6 +116,11 @@ class ScratchAllocator {
     return static_cast<int32_t*>(
         Bytes(count * static_cast<int64_t>(sizeof(int32_t))));
   }
+  /// Uninitialized array of `count` trivially copyable T.
+  template <typename T>
+  T* Array(int64_t count) {
+    return static_cast<T*>(Bytes(count * static_cast<int64_t>(sizeof(T))));
+  }
 
  private:
   void* Bytes(int64_t bytes) {

@@ -86,8 +86,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
   }
 }
 
-void ThreadPool::Run(int64_t num_chunks,
-                     const std::function<void(int64_t)>& fn) {
+void ThreadPool::Run(int64_t num_chunks, FunctionRef<void(int64_t)> fn) {
   if (num_chunks <= 0) return;
   if (workers_.empty() || num_chunks == 1 || t_in_pool_chunk) {
     // Inline path: no locking, and exceptions propagate unchanged — this
@@ -152,7 +151,7 @@ void ThreadPool::SetGlobalThreads(int num_threads) {
 int ThreadPool::GlobalThreads() { return Global()->num_threads(); }
 
 void ParallelFor(int64_t n, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+                 FunctionRef<void(int64_t, int64_t)> fn) {
   if (n <= 0) return;
   grain = std::max<int64_t>(1, grain);
   const int64_t num_chunks = (n + grain - 1) / grain;

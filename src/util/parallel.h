@@ -21,12 +21,48 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace adr {
+
+/// \brief Non-owning reference to a callable: an object pointer and a
+/// trampoline. Unlike std::function it never heap-allocates, so handing
+/// a capturing lambda to ParallelFor costs nothing per call. The callable
+/// must outlive the reference — true of a lambda passed straight to a
+/// synchronous call such as ParallelFor or ThreadPool::Run.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, FunctionRef> &&
+                std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& f)  // implicit, like std::function
+      : obj_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_(&Call<std::remove_reference_t<F>>) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  template <typename F>
+  static R Call(void* obj, Args... args) {
+    return (*static_cast<F*>(obj))(std::forward<Args>(args)...);
+  }
+
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 /// \brief Fixed-size fork-join pool. One job runs at a time; the calling
 /// thread participates, so a pool of N threads applies N-way parallelism
@@ -47,7 +83,7 @@ class ThreadPool {
   /// participates and blocks until all chunks finish. The first exception
   /// thrown by any chunk is rethrown on the caller after the join. Calls
   /// from inside a running chunk (nested parallelism) execute inline.
-  void Run(int64_t num_chunks, const std::function<void(int64_t)>& fn);
+  void Run(int64_t num_chunks, FunctionRef<void(int64_t)> fn);
 
   /// \brief Process-wide pool used by ParallelFor. Created on first use
   /// with DefaultThreads() threads.
@@ -83,7 +119,7 @@ class ThreadPool {
 
   // Current job; valid while workers_running_ > 0 or the caller is inside
   // Run().
-  const std::function<void(int64_t)>* job_ = nullptr;
+  const FunctionRef<void(int64_t)>* job_ = nullptr;
   int64_t job_chunks_ = 0;
   std::atomic<int64_t> next_chunk_{0};
 
@@ -98,7 +134,7 @@ class ThreadPool {
 /// ranges. fn is invoked inline when there is a single chunk. No-op for
 /// n <= 0; grain < 1 is treated as 1.
 void ParallelFor(int64_t n, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+                 FunctionRef<void(int64_t, int64_t)> fn);
 
 /// \brief Grain that amortizes dispatch overhead for a loop whose body
 /// costs ~`ops_per_item` operations per index: at least enough items per

@@ -28,14 +28,7 @@
 namespace adr {
 namespace {
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 LshSignature MakeSignature(uint64_t a, uint64_t b = 0) {
   LshSignature sig;

@@ -172,18 +172,6 @@ TEST(ComputeCentroidsTest, RespectsRowStride) {
   EXPECT_FLOAT_EQ(centroids.at(0, 1), 3.0f);
 }
 
-TEST(ScatterRowsTest, CopiesClusterRowToMembers) {
-  Tensor cluster_rows(Shape({2, 3}), {1, 2, 3, 10, 20, 30});
-  Clustering c;
-  c.assignment = {1, 0, 1};
-  c.cluster_sizes = {1, 2};
-  Tensor out(Shape({3, 3}));
-  ScatterRows(cluster_rows, c, out.data(), 3);
-  EXPECT_FLOAT_EQ(out.at(0, 0), 10.0f);
-  EXPECT_FLOAT_EQ(out.at(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(out.at(2, 2), 30.0f);
-}
-
 TEST(NormalizeTest, RowsBecomeUnitNorm) {
   Tensor data(Shape({2, 3}), {3, 4, 0, 0, 0, 5});
   NormalizeRowsInPlace(data.data(), 2, 3, 3);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/clustered_matmul.h"
@@ -24,14 +27,7 @@ using testutil::Backends;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 // Geometry chosen so the fused path runs several L2 tiles whose
 // boundaries do NOT align with the per-image group boundaries:
@@ -191,6 +187,84 @@ TEST(FusedForwardTest, MatchesMaterializedAtCifarNetReuseShape) {
                                        rows_per_group, nullptr, nullptr);
       }
     }
+  }
+}
+
+TEST(FusedForwardTest, MatchesMaterializedWithSignatureCappedTables) {
+  // 2^H < rows_per_group caps the clusterer's table at 2 * 2^H slots
+  // instead of 2 * rows_per_group: H = 3 against 49-row images (per-image
+  // scope, 4 group resets, several landing mid-tile) and H = 4 against the
+  // whole 196-row batch.
+  ThreadCountGuard guard;
+  const ConvGeometry geo = MultiTileGeometry(4);
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  Rng rng(16);
+  const Tensor input = Tensor::RandomGaussian(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+      &rng);
+  const Tensor weight = Tensor::RandomGaussian(Shape({k, 8}), &rng);
+  const Tensor bias = Tensor::RandomGaussian(Shape({8}), &rng);
+  for (const auto& [num_hashes, rows_per_group] :
+       {std::pair<int, int64_t>{3, geo.rows_per_image()},
+        std::pair<int, int64_t>{4, n}}) {
+    ASSERT_LT(int64_t{1} << num_hashes, rows_per_group);
+    auto families = BlockLshFamilies::Create(k, 50, num_hashes, 10);
+    ASSERT_TRUE(families.ok());
+    for (const simd::Kernels* backend : Backends()) {
+      simd::ScopedKernelsOverride override_backend(*backend);
+      for (const int threads : kThreadCounts) {
+        SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                     std::to_string(threads) + " H=" +
+                     std::to_string(num_hashes));
+        ThreadPool::SetGlobalThreads(threads);
+        ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
+                                       rows_per_group, nullptr, nullptr);
+      }
+    }
+  }
+}
+
+TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
+  // One clusterer reused across Begin/Finish cycles whose group sizes and
+  // table capacities change (16 slots at H = 3, 128 or 256 at H = 7), and
+  // stay the same between some consecutive cycles, so both the resize and
+  // the leftover-slot reset at Begin run: every cycle must reproduce the
+  // materialized clustering.
+  const ConvGeometry geo = MultiTileGeometry(4);
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  Rng rng(17);
+  const Tensor input = Tensor::RandomGaussian(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+      &rng);
+  Tensor cols(Shape({n, k}));
+  Im2Col(geo, input, &cols);
+  auto coarse = BlockLshFamilies::Create(k, 40, 3, 11);
+  auto fine = BlockLshFamilies::Create(k, 40, 7, 12);
+  ASSERT_TRUE(coarse.ok());
+  ASSERT_TRUE(fine.ok());
+  const int64_t image = geo.rows_per_image();
+  StreamingSubVectorClusterer reused;
+  for (const auto& [families, rows_per_group] :
+       {std::pair<const BlockLshFamilies*, int64_t>{&*coarse, image},
+        {&*coarse, n},
+        {&*fine, image},
+        {&*fine, n},
+        {&*coarse, n},
+        {&*fine, image}}) {
+    SCOPED_TRACE("H=" + std::to_string(families->family(0).num_hashes()) +
+                 " rows_per_group=" + std::to_string(rows_per_group));
+    const ReuseClustering reference =
+        ClusterSubVectors(*families, cols.data(), n, rows_per_group);
+    reused.Begin(families, n, rows_per_group);
+    for (int64_t row = 0; row < n; row += 37) {
+      const int64_t rows = std::min<int64_t>(37, n - row);
+      reused.ConsumeTile(cols.data() + row * k, row, rows);
+    }
+    ReuseClustering clustering = reused.Finish();
+    ExpectSameClustering(clustering, reference);
+    reused.Recycle(std::move(clustering));
   }
 }
 

@@ -97,6 +97,52 @@ TEST(GoldenKernels, AddAndScaleMatchScalarBitwise) {
   }
 }
 
+TEST(GoldenKernels, SegmentRowSumsMatchScalarOrderBitwise) {
+  // Rows out of order and repeated, an empty segment, -0.0 entries (a
+  // segment of -0 rows sums to +0, never -0), every remainder width.
+  const std::vector<int32_t> rows = {3, 0, 5, 3, 1, 6, 2, 4};
+  const std::vector<std::vector<int64_t>> segmentations = {
+      {0, 0}, {0, 1}, {0, 8}, {0, 3, 3, 4, 8}, {0, 1, 2, 5, 6, 7, 8}};
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t n : RemainderSizes()) {
+      const int64_t ldx = n + 3;
+      std::vector<float> x = RandomVector(7 * ldx, 600 + n);
+      for (int64_t i = 0; i < 7 * ldx; i += 5) {
+        x[static_cast<size_t>(i)] = -0.0f;
+      }
+      for (int64_t i = 0; i < n; ++i) x[static_cast<size_t>(i)] = -0.0f;
+      for (const std::vector<int64_t>& seg : segmentations) {
+        const int64_t num_segs = static_cast<int64_t>(seg.size()) - 1;
+        std::vector<float> expected(static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i) {
+          float total = 0.0f;
+          for (int64_t g = 0; g < num_segs; ++g) {
+            float sum = 0.0f;
+            for (int64_t r = seg[static_cast<size_t>(g)];
+                 r < seg[static_cast<size_t>(g + 1)]; ++r) {
+              sum += x[static_cast<size_t>(rows[static_cast<size_t>(r)] *
+                                               ldx +
+                                           i)];
+            }
+            total += sum;
+          }
+          expected[static_cast<size_t>(i)] = total;
+        }
+        std::vector<float> actual(static_cast<size_t>(n) + 4, 99.0f);
+        backend->segment_row_sums(x.data(), ldx, rows.data(), seg.data(),
+                                  num_segs, actual.data(), n);
+        EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << backend->name << " n=" << n << " segments=" << num_segs;
+        for (size_t i = static_cast<size_t>(n); i < actual.size(); ++i) {
+          EXPECT_EQ(actual[i], 99.0f) << backend->name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(GoldenKernels, CopyIsBitwiseExactAndLeavesTailUntouched) {
   // GatherHits in the cluster-reuse cache depends on copy being a pure
   // bitwise move on every backend.

@@ -1,12 +1,18 @@
 // Tests for ConvGeometry, Im2Col and Col2Im, including the adjoint
-// property <Im2Col(x), g> == <x, Col2Im(g)> that backpropagation relies on.
+// property <Im2Col(x), g> == <x, Col2Im(g)> that backpropagation relies on,
+// and bitwise agreement of the clipped-run fold with a per-tap fold.
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tensor/im2col.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/kernel_harness.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -159,6 +165,133 @@ TEST(Col2ImTest, OverlappingPatchesAccumulate) {
   EXPECT_EQ(folded.at4(0, 0, 1, 1), 4.0f);  // in 4 patches
   EXPECT_EQ(folded.at4(0, 0, 0, 0), 1.0f);  // in 1 patch
   EXPECT_EQ(folded.at4(0, 0, 0, 1), 2.0f);  // in 2 patches
+}
+
+// The per-tap fold: every (row, c, ky, kx) tap in row-major order, with
+// a bounds test per tap.
+void NaiveCol2Im(const ConvGeometry& geo, const float* cols, float* out) {
+  const int64_t ih = geo.in_height, iw = geo.in_width;
+  std::fill_n(out, geo.batch * geo.in_channels * ih * iw, 0.0f);
+  const float* src = cols;
+  for (int64_t n = 0; n < geo.batch; ++n) {
+    for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+      for (int64_t ox = 0; ox < geo.out_width(); ++ox) {
+        for (int64_t c = 0; c < geo.in_channels; ++c) {
+          float* chan = out + (n * geo.in_channels + c) * ih * iw;
+          for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
+            for (int64_t kx = 0; kx < geo.kernel_w; ++kx, ++src) {
+              const int64_t y = oy * geo.stride + ky - geo.pad;
+              const int64_t x = ox * geo.stride + kx - geo.pad;
+              if (y >= 0 && y < ih && x >= 0 && x < iw) {
+                chan[y * iw + x] += *src;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The per-tap unfold, the inverse walk of NaiveCol2Im.
+void NaiveIm2Col(const ConvGeometry& geo, const float* input, float* cols) {
+  const int64_t ih = geo.in_height, iw = geo.in_width;
+  float* dst = cols;
+  for (int64_t n = 0; n < geo.batch; ++n) {
+    for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+      for (int64_t ox = 0; ox < geo.out_width(); ++ox) {
+        for (int64_t c = 0; c < geo.in_channels; ++c) {
+          const float* chan = input + (n * geo.in_channels + c) * ih * iw;
+          for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
+            for (int64_t kx = 0; kx < geo.kernel_w; ++kx) {
+              const int64_t y = oy * geo.stride + ky - geo.pad;
+              const int64_t x = ox * geo.stride + kx - geo.pad;
+              *dst++ = y >= 0 && y < ih && x >= 0 && x < iw
+                           ? chan[y * iw + x]
+                           : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+using testutil::ThreadCountGuard;
+
+TEST(Col2ImTest, ClippedRunsAreBitwiseEqualToPerTapLoops) {
+  // Both directions: Col2Im against the per-tap fold, and Im2Col of the
+  // folded image against the per-tap unfold.
+  ThreadCountGuard guard;
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t stride : {1, 2}) {
+      // Up to kernel + 1: whole receptive fields in the padding.
+      for (int64_t pad = 0; pad <= kernel + 1; ++pad) {
+        // Smallest input >= 5 that the stride tiles exactly.
+        int64_t size = 5;
+        while ((size + 2 * pad - kernel) % stride != 0) ++size;
+        const ConvGeometry geo = MakeGeometry(3, 2, size, kernel, stride, pad);
+        ASSERT_TRUE(geo.Validate().ok());
+        const int64_t n = geo.unfolded_rows();
+        const int64_t k = geo.unfolded_cols();
+        const std::vector<float> cols =
+            testutil::RandomVector(n * k, 100 + kernel * 10 + pad);
+        std::vector<float> expected(
+            static_cast<size_t>(3 * 2 * size * size));
+        NaiveCol2Im(geo, cols.data(), expected.data());
+        std::vector<float> unfolded_ref(static_cast<size_t>(n * k));
+        NaiveIm2Col(geo, expected.data(), unfolded_ref.data());
+        for (const simd::Kernels* backend : testutil::Backends()) {
+          simd::ScopedKernelsOverride override_backend(*backend);
+          for (const int threads : {1, 2, 8}) {
+            SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                         std::to_string(threads) + " kernel=" +
+                         std::to_string(kernel) + " stride=" +
+                         std::to_string(stride) + " pad=" +
+                         std::to_string(pad));
+            ThreadPool::SetGlobalThreads(threads);
+            std::vector<float> unfolded(static_cast<size_t>(n * k), 7.0f);
+            Im2Col(geo, expected.data(), unfolded.data());
+            for (size_t i = 0; i < unfolded.size(); ++i) {
+              ASSERT_EQ(unfolded[i], unfolded_ref[i]) << "im2col " << i;
+            }
+            // Garbage in the output proves Col2Im zeroes it first.
+            std::vector<float> folded(expected.size(), 7.0f);
+            Col2Im(geo, cols.data(), folded.data());
+            for (size_t i = 0; i < expected.size(); ++i) {
+              ASSERT_EQ(folded[i], expected[i]) << "element " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Col2ImTest, RowSourceBuffersAreFoldedLikeStoredRows) {
+  // A source that writes each row into its chunk's buffer must fold to
+  // the same bits as one that points into the stored matrix.
+  ThreadCountGuard guard;
+  const ConvGeometry geo = MakeGeometry(4, 3, 9, 3, 2, 1);
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  const std::vector<float> cols = testutil::RandomVector(n * k, 9);
+  std::vector<float> expected(static_cast<size_t>(4 * 3 * 9 * 9));
+  Col2Im(geo, cols.data(), expected.data());
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalThreads(threads);
+    std::vector<float> scratch(static_cast<size_t>(geo.batch * k));
+    std::vector<float> folded(expected.size());
+    Col2ImRows(geo, folded.data(), scratch.data(),
+               [&](int64_t row, float* buf) {
+                 std::copy_n(cols.data() + row * k, k, buf);
+                 return static_cast<const float*>(buf);
+               });
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(folded[i], expected[i])
+          << "threads " << threads << " element " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -21,9 +21,23 @@
 #include <gtest/gtest.h>
 
 #include "tensor/simd.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr::testutil {
+
+/// Restores the global pool's thread count when a test that sweeps thread
+/// counts ends.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
+  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// Backends available on this build + machine, scalar first. Every golden
 /// test iterates all of them, so the scalar fallback is always tested.

@@ -1,12 +1,24 @@
 // Tests for ReuseBackward (paper Section IV): exactness in the singleton
-// limit, the averaging semantics of Eq. 13, and MAC accounting.
+// limit, the averaging semantics of Eq. 13, MAC accounting, and bitwise
+// agreement of the fused fold and the CSR row sums with their references.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
+#include "core/reuse_backward_reference.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/kernel_harness.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -181,6 +193,216 @@ TEST(ReuseBackwardTest, CoarseClusteringStillDescends) {
            exact.grad_weight.at(i);
   }
   EXPECT_GT(dot, 0.0);
+}
+
+constexpr int kThreadCounts[] = {1, 2, 8};
+
+using testutil::ThreadCountGuard;
+
+void ExpectBitwiseEqual(const float* actual, const float* expected,
+                        int64_t count, const char* what) {
+  for (int64_t i = 0; i < count; ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << what << " element " << i;
+  }
+}
+
+TEST(ReuseBackwardFoldTest, FusedFoldEqualsCol2ImOfMaterializedGradX) {
+  // Stride 2, K = 4*3*3 = 36 split at L = 7 (the last block is 1 wide),
+  // per-image and whole-batch scope.
+  ThreadCountGuard guard;
+  ConvGeometry geo;
+  geo.batch = 3;
+  geo.in_channels = 4;
+  geo.in_height = 11;
+  geo.in_width = 11;
+  geo.kernel_h = 3;
+  geo.kernel_w = 3;
+  geo.stride = 2;
+  geo.pad = 1;
+  ASSERT_TRUE(geo.Validate().ok());
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  const int64_t m = 6;
+  ASSERT_NE(k % 7, 0);
+
+  Rng rng(41);
+  const Tensor input = Tensor::RandomGaussian(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+      &rng);
+  const Tensor w = Tensor::RandomGaussian(Shape({k, m}), &rng);
+  const Tensor dy = Tensor::RandomGaussian(Shape({n, m}), &rng);
+  Tensor cols(Shape({n, k}));
+  Im2Col(geo, input, &cols);
+  auto families = BlockLshFamilies::Create(k, 7, 4, 9);
+  ASSERT_TRUE(families.ok());
+  const int64_t input_size = input.num_elements();
+
+  for (const int64_t rows_per_group : {geo.rows_per_image(), n}) {
+    const ReuseClustering clustering =
+        ClusterSubVectors(*families, cols.data(), n, rows_per_group);
+    ASSERT_LT(clustering.TotalClusters(), n * families->num_blocks());
+    for (const simd::Kernels* backend : testutil::Backends()) {
+      simd::ScopedKernelsOverride override_backend(*backend);
+      for (const int threads : kThreadCounts) {
+        SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                     std::to_string(threads) + " rows_per_group=" +
+                     std::to_string(rows_per_group));
+        ThreadPool::SetGlobalThreads(threads);
+        const BackwardReuseResult materialized =
+            ReuseBackward(clustering, w, dy);
+        std::vector<float> expected(static_cast<size_t>(input_size));
+        Col2Im(geo, materialized.grad_x.data(), expected.data());
+
+        WorkspaceArena arena;
+        std::vector<float> grad_w(static_cast<size_t>(k * m));
+        std::vector<float> grad_b(static_cast<size_t>(m));
+        std::vector<float> grad_input(static_cast<size_t>(input_size), 5.0f);
+        BackwardReuseStats stats;
+        ReuseBackwardFoldInto(clustering, w, dy.data(), geo, &arena,
+                              grad_w.data(), grad_b.data(),
+                              grad_input.data(), &stats);
+        ExpectBitwiseEqual(grad_input.data(), expected.data(), input_size,
+                           "grad_input");
+        ExpectBitwiseEqual(grad_w.data(), materialized.grad_weight.data(),
+                           k * m, "grad_weight");
+        ExpectBitwiseEqual(grad_b.data(), materialized.grad_bias.data(), m,
+                           "grad_bias");
+        EXPECT_DOUBLE_EQ(stats.macs, materialized.stats.macs);
+        EXPECT_DOUBLE_EQ(stats.macs_baseline,
+                         materialized.stats.macs_baseline);
+      }
+    }
+  }
+}
+
+// Row sums of `dy` (n x m) under `clustering`, CSR form vs the
+// chunk-partial reference, on every backend and thread count.
+void ExpectRowSumsMatchReference(const std::vector<float>& dy,
+                                 const Clustering& clustering, int64_t m) {
+  const int64_t n = clustering.num_rows();
+  const int64_t num_clusters = clustering.num_clusters();
+  const int64_t chunks = std::min<int64_t>(kReduceChunks, n);
+  std::vector<float> partials(static_cast<size_t>(chunks * num_clusters * m));
+  std::vector<float> expected(static_cast<size_t>(num_clusters * m));
+  for (const simd::Kernels* backend : testutil::Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    ReferenceClusterRowSums(dy.data(), clustering, n, m, partials.data(),
+                            expected.data());
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                   std::to_string(threads));
+      ThreadPool::SetGlobalThreads(threads);
+      std::vector<float> sums(expected.size(), 3.0f);
+      ScratchAllocator scratch(nullptr);
+      ClusterRowSums(dy.data(), clustering, m, &scratch, sums.data());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        // Compare bit patterns: +0 and -0 must not be confused.
+        uint32_t got = 0, want = 0;
+        std::memcpy(&got, &sums[i], sizeof(got));
+        std::memcpy(&want, &expected[i], sizeof(want));
+        ASSERT_EQ(got, want) << "element " << i << " (" << sums[i]
+                             << " vs " << expected[i] << ")";
+      }
+    }
+  }
+}
+
+Clustering FromAssignment(const std::vector<int32_t>& assignment,
+                          int64_t num_clusters) {
+  Clustering clustering;
+  clustering.assignment = assignment;
+  clustering.cluster_sizes.assign(static_cast<size_t>(num_clusters), 0);
+  for (const int32_t cl : assignment) {
+    ++clustering.cluster_sizes[static_cast<size_t>(cl)];
+  }
+  return clustering;
+}
+
+TEST(ClusterRowSumsTest, MatchesChunkPartialReference) {
+  ThreadCountGuard guard;
+  // n = 203 is not a multiple of kReduceChunks. Cluster 0 lives only in
+  // the first chunk's rows, cluster 1 only in the last one's; the rest
+  // are spread at random.
+  const int64_t n = 203;
+  const int64_t m = 13;
+  const int64_t num_clusters = 9;
+  Rng rng(51);
+  std::vector<int32_t> assignment(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    if (i < n / 8) {
+      assignment[static_cast<size_t>(i)] = i % 3 == 0 ? 0 : 2;
+    } else if (i >= 7 * n / 8) {
+      assignment[static_cast<size_t>(i)] = i % 2 == 0 ? 1 : 3;
+    } else {
+      assignment[static_cast<size_t>(i)] =
+          2 + static_cast<int32_t>(rng.NextBounded(num_clusters - 2));
+    }
+  }
+  const Clustering clustering = FromAssignment(assignment, num_clusters);
+
+  // dy with -0.0 entries: whole rows of -0, and scattered -0 elements,
+  // so partial and cluster sums meet -0 + -0 and -0 + +0.
+  std::vector<float> dy = testutil::RandomVector(n * m, 52);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      if (i % 5 == 0 || (i * 7 + j) % 4 == 0) {
+        dy[static_cast<size_t>(i * m + j)] = -0.0f;
+      }
+    }
+  }
+  ExpectRowSumsMatchReference(dy, clustering, m);
+}
+
+TEST(ClusterRowSumsTest, AllNegativeZeroClusterStaysPositiveZero) {
+  // A cluster whose every dy entry is -0 sums to +0 in the reference;
+  // the CSR form must not leak a -0.
+  ThreadCountGuard guard;
+  const int64_t n = 24;
+  const int64_t m = 5;
+  std::vector<int32_t> assignment(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    assignment[static_cast<size_t>(i)] = i % 3 == 0 ? 0 : 1;
+  }
+  std::vector<float> dy = testutil::RandomVector(n * m, 53);
+  for (int64_t i = 0; i < n; i += 3) {
+    for (int64_t j = 0; j < m; ++j) dy[static_cast<size_t>(i * m + j)] = -0.0f;
+  }
+  ExpectRowSumsMatchReference(dy, FromAssignment(assignment, 2), m);
+}
+
+TEST(ClusterRowSumsTest, FewerRowsThanChunks) {
+  ThreadCountGuard guard;
+  for (const int64_t n : {1, 2, 5, 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<int32_t> assignment(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      assignment[static_cast<size_t>(i)] = static_cast<int32_t>(i % 2);
+    }
+    const int64_t num_clusters = n == 1 ? 1 : 2;
+    std::vector<float> dy = testutil::RandomVector(n * 4, 54 + n);
+    dy[0] = -0.0f;
+    ExpectRowSumsMatchReference(dy, FromAssignment(assignment, num_clusters),
+                                4);
+  }
+}
+
+TEST(ClusterRowSumsTest, ManyClustersSpanSeveralParallelChunks) {
+  // Wide rows and near-singleton clusters make the per-cluster cost
+  // small, so the clusters split into several parallel chunks, each with
+  // its own range buffer.
+  ThreadCountGuard guard;
+  const int64_t n = 1000;
+  const int64_t m = 1024;
+  const int64_t num_clusters = 600;
+  Rng rng(55);
+  std::vector<int32_t> assignment(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    assignment[static_cast<size_t>(i)] =
+        i < num_clusters ? static_cast<int32_t>(i)
+                         : static_cast<int32_t>(rng.NextBounded(num_clusters));
+  }
+  ExpectRowSumsMatchReference(testutil::RandomVector(n * m, 56),
+                              FromAssignment(assignment, num_clusters), m);
 }
 
 }  // namespace

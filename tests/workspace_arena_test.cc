@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "core/reuse_conv2d.h"
@@ -204,6 +205,78 @@ TEST(WorkspaceArenaTest, Conv2dStopsAllocatingAfterFirstStep) {
     EXPECT_EQ(layer.workspace().reserved_bytes(), steady_reserved);
     EXPECT_EQ(layer.workspace().alloc_slabs(), steady_slabs);
   }
+}
+
+// Smooth images with a little noise, the kind of input on which LSH
+// clusters stay few (r_c of a few percent), as on natural images.
+Tensor SmoothImages(int64_t batch, int64_t channels, int64_t size,
+                    uint64_t seed) {
+  Rng rng(seed);
+  Tensor images(Shape({batch, channels, size, size}));
+  float* dst = images.data();
+  for (int64_t n = 0; n < batch; ++n) {
+    for (int64_t c = 0; c < channels; ++c) {
+      for (int64_t y = 0; y < size; ++y) {
+        for (int64_t x = 0; x < size; ++x) {
+          *dst++ = std::sin(0.3f * static_cast<float>(y + n) +
+                            0.2f * static_cast<float>(x) +
+                            0.7f * static_cast<float>(c)) +
+                   0.05f * rng.NextGaussian();
+        }
+      }
+    }
+  }
+  return images;
+}
+
+TEST(WorkspaceArenaTest, ReuseConv2dBackwardNeverReservesTheUnfoldedDelta) {
+  // CifarNet conv2: batch 16, 32x16x16 input, 5x5 kernel, pad 2, M = 32,
+  // L = 10, H = 11, so N = 4096 and K = 800.
+  Conv2dConfig config;
+  config.in_channels = 32;
+  config.out_channels = 32;
+  config.kernel = 5;
+  config.stride = 1;
+  config.pad = 2;
+  config.in_height = 16;
+  config.in_width = 16;
+  ReuseConfig reuse;
+  reuse.sub_vector_length = 10;
+  reuse.num_hashes = 11;
+  const int64_t n = 16 * 16 * 16;
+  const int64_t k = 32 * 5 * 5;
+
+  Rng rng(37);
+  ReuseConv2d layer("arena_conv2", config, reuse, &rng);
+  const Tensor input = SmoothImages(16, 32, 16, 38);
+  Rng data_rng(39);
+  const Tensor grad_out =
+      Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &data_rng);
+
+  RunStep(&layer, input, grad_out);
+  RunStep(&layer, input, grad_out);
+  // The arena of this step, when the backward still wrote the N x K input
+  // delta and a chunks x |C| x M partial buffer per block, reserved this
+  // many bytes (the same on the scalar and AVX2 backends). Folding the
+  // centroid deltas into the input gradient must save at least the
+  // N x K floats.
+  constexpr int64_t kUnfoldedDeltaBackwardBytes = 29629696;
+  const int64_t reserved = layer.workspace().reserved_bytes();
+  EXPECT_LE(reserved, kUnfoldedDeltaBackwardBytes -
+                          n * k * static_cast<int64_t>(sizeof(float)));
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const int64_t allocs =
+      metrics.counter("reuse/arena_conv2/allocations_per_step")->value();
+  const int64_t slabs = layer.workspace().alloc_slabs();
+  for (int step = 0; step < 2; ++step) {
+    RunStep(&layer, input, grad_out);
+    EXPECT_EQ(layer.workspace().reserved_bytes(), reserved);
+    EXPECT_EQ(layer.workspace().alloc_slabs(), slabs);
+  }
+  EXPECT_EQ(
+      metrics.counter("reuse/arena_conv2/allocations_per_step")->value(),
+      allocs);
 }
 
 }  // namespace
