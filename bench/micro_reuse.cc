@@ -19,6 +19,7 @@
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "core/reuse_conv2d.h"
+#include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
@@ -405,6 +406,68 @@ BENCHMARK(BM_FusedClusteredForward)
       ThreadsLHArgs(b, {{100, 8}, {25, 12}});
     });
 
+// Smooth images with a little noise, CifarNet conv2's input (16 images of
+// 32x16x16): few clusters per block, as on natural images.
+Tensor SmoothConv2Input(Rng* rng) {
+  Tensor input(Shape({16, 32, 16, 16}));
+  float* dst = input.data();
+  for (int64_t n = 0; n < 16; ++n) {
+    for (int64_t c = 0; c < 32; ++c) {
+      for (int64_t y = 0; y < 16; ++y) {
+        for (int64_t x = 0; x < 16; ++x) {
+          *dst++ = std::sin(0.3f * static_cast<float>(y + n) +
+                            0.2f * static_cast<float>(x) +
+                            0.7f * static_cast<float>(c)) +
+                   0.05f * rng->NextGaussian();
+        }
+      }
+    }
+  }
+  return input;
+}
+
+// Eval-mode forward of CifarNet conv2 (batch 16, 32x16x16 input, 5x5
+// kernel, pad 2: N = 4096, K = 800) with M output channels, through the
+// dense Conv2d (reuse:0) or the fused ReuseConv2d at L = 10, H = 11
+// (reuse:1). Both stream L2-sized im2col tiles; the ratio of the two
+// rows at each M is where reuse crosses dense on the wall clock.
+void BM_ReuseVsDenseForward(benchmark::State& state) {
+  SetupThreads(state);
+  Conv2dConfig config;
+  config.in_channels = 32;
+  config.out_channels = state.range(1);
+  config.kernel = 5;
+  config.stride = 1;
+  config.pad = 2;
+  config.in_height = 16;
+  config.in_width = 16;
+  ReuseConfig reuse;
+  reuse.sub_vector_length = 10;
+  reuse.num_hashes = 11;
+  Rng rng(29);
+  Conv2d dense("bench_dense", config, &rng);
+  ReuseConv2d clustered("bench_reuse", config, reuse, &rng);
+  Layer& layer = state.range(2) != 0 ? static_cast<Layer&>(clustered)
+                                     : static_cast<Layer&>(dense);
+  const Tensor input = SmoothConv2Input(&rng);
+  for (auto _ : state) {
+    Tensor out = layer.Forward(input, /*training=*/false);
+    benchmark::DoNotOptimize(out.data());
+  }
+  // Items = the dense forward MACs, N * K * M.
+  state.SetItemsProcessed(state.iterations() * 4096 * 800 * state.range(1));
+}
+BENCHMARK(BM_ReuseVsDenseForward)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      b->ArgNames({"threads", "M", "reuse"});
+      for (const int64_t m : {32, 64, 128, 256}) {
+        for (const int64_t threads : kThreadCounts) {
+          b->Args({threads, m, 0});
+          b->Args({threads, m, 1});
+        }
+      }
+    });
+
 // The reuse layer's whole backward (row sums, both per-block GEMMs and the
 // fold into the NCHW input gradient) at CifarNet conv2's geometry: batch
 // 16, 32x16x16 input, 5x5 kernel, pad 2, M = 32, L = 10, H = 11. Each
@@ -425,22 +488,7 @@ void BM_ReuseConv2dBackward(benchmark::State& state) {
   reuse.num_hashes = 11;
   Rng rng(23);
   ReuseConv2d layer("bench_conv2", config, reuse, &rng);
-  // Smooth images with a little noise: few clusters per block, as on
-  // natural images.
-  Tensor input(Shape({16, 32, 16, 16}));
-  float* dst = input.data();
-  for (int64_t n = 0; n < 16; ++n) {
-    for (int64_t c = 0; c < 32; ++c) {
-      for (int64_t y = 0; y < 16; ++y) {
-        for (int64_t x = 0; x < 16; ++x) {
-          *dst++ = std::sin(0.3f * static_cast<float>(y + n) +
-                            0.2f * static_cast<float>(x) +
-                            0.7f * static_cast<float>(c)) +
-                   0.05f * rng.NextGaussian();
-        }
-      }
-    }
-  }
+  const Tensor input = SmoothConv2Input(&rng);
   const Tensor grad_out =
       Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &rng);
   for (auto _ : state) {

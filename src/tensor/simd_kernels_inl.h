@@ -11,8 +11,13 @@
 //   Fma(a, b, acc) = a * b + acc, ReduceAdd(v),
 //   SignBits(v) — bit l set iff lane l > 0 (false for NaN),
 //   Transpose(v) — transposes the kWidth x kWidth tile in v[0..kWidth).
+// Vector Ops (kWidth > 1) also provide a partial-register interface:
+//   using Mask, TailMask(count) for 0 < count < kWidth,
+//   MaskLoad(p, mask) — lanes >= count read as zero, never touched,
+//   MaskStore(p, mask, v) — writes only lanes < count.
 //
-// Remainder lanes (n not a multiple of kWidth) run in scalar tail loops;
+// Remainder lanes (n not a multiple of kWidth) run in scalar tail loops
+// or, where a kernel keeps them in registers, masked partial registers;
 // the golden harness sweeps such shapes explicitly.
 
 #ifndef ADR_TENSOR_SIMD_KERNELS_INL_H_
@@ -70,6 +75,20 @@ struct Avx2Ops {
     return static_cast<uint32_t>(_mm256_movemask_ps(
         _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
   }
+  using Mask = __m256i;
+  static Mask TailMask(int count) {
+    // All-ones in the first `count` lanes: a window into a sliding table.
+    static const int32_t kTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                       0,  0,  0,  0,  0,  0,  0,  0};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kTable + kWidth - count));
+  }
+  static Reg MaskLoad(const float* p, Mask mask) {
+    return _mm256_maskload_ps(p, mask);
+  }
+  static void MaskStore(float* p, Mask mask, Reg v) {
+    _mm256_maskstore_ps(p, mask, v);
+  }
   static void Transpose(Reg* v) {
     // Interleave pairs of rows, then pairs of pairs within each 128-bit
     // half, then swap the halves.
@@ -121,6 +140,20 @@ struct NeonOps {
       bits |= static_cast<uint32_t>(lanes[l] > 0.0f) << l;
     }
     return bits;
+  }
+  // No masked memory ops on NEON: partial registers go through a lane
+  // buffer, touching only the first `count` floats.
+  using Mask = int;
+  static Mask TailMask(int count) { return count; }
+  static Reg MaskLoad(const float* p, Mask count) {
+    float lanes[kWidth] = {0.0f, 0.0f, 0.0f, 0.0f};
+    for (int l = 0; l < count; ++l) lanes[l] = p[l];
+    return vld1q_f32(lanes);
+  }
+  static void MaskStore(float* p, Mask count, Reg v) {
+    float lanes[kWidth];
+    vst1q_f32(lanes, v);
+    for (int l = 0; l < count; ++l) p[l] = lanes[l];
   }
   static void Transpose(Reg* v) {
     // vtrnq pairs lanes {0,2} and {1,3} of two rows; the 64-bit halves
@@ -253,6 +286,75 @@ void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
       total += sum;
     }
     y[i] = total;
+  }
+}
+
+// Columns [0, F * kWidth + tail) of one run: s[i] += x[r * ldx + i] for
+// r < rows in order, F full registers plus, when tail > 0, one masked
+// register of `tail` lanes, all held in registers across the run.
+template <typename Ops, int F>
+void AddRunColumns(const float* x, int64_t ldx, int64_t rows, float* s,
+                   int tail) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  Reg acc[F > 0 ? F : 1];
+#pragma GCC unroll 2
+  for (int f = 0; f < F; ++f) acc[f] = Ops::Load(s + f * kW);
+  if constexpr (kW > 1) {
+    if (tail > 0) {
+      const typename Ops::Mask mask = Ops::TailMask(tail);
+      Reg rest = Ops::MaskLoad(s + F * kW, mask);
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* xr = x + r * ldx;
+#pragma GCC unroll 2
+        for (int f = 0; f < F; ++f) {
+          acc[f] = Ops::Add(acc[f], Ops::Load(xr + f * kW));
+        }
+        rest = Ops::Add(rest, Ops::MaskLoad(xr + F * kW, mask));
+      }
+#pragma GCC unroll 2
+      for (int f = 0; f < F; ++f) Ops::Store(s + f * kW, acc[f]);
+      Ops::MaskStore(s + F * kW, mask, rest);
+      return;
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * ldx;
+#pragma GCC unroll 2
+    for (int f = 0; f < F; ++f) {
+      acc[f] = Ops::Add(acc[f], Ops::Load(xr + f * kW));
+    }
+  }
+#pragma GCC unroll 2
+  for (int f = 0; f < F; ++f) Ops::Store(s + f * kW, acc[f]);
+}
+
+template <typename Ops>
+void ScatterAddRowsImpl(const float* x, int64_t ldx, int64_t rows,
+                        const int32_t* ids, float* sums, int64_t n) {
+  constexpr int64_t kW = Ops::kWidth;
+  int64_t r = 0;
+  while (r < rows) {
+    const int32_t id = ids[r];
+    int64_t end = r + 1;
+    while (end < rows && ids[end] == id) ++end;
+    const float* xr = x + r * ldx;
+    float* s = sums + id * n;
+    const int64_t run = end - r;
+    // Two registers per pass; the last pass takes the remaining full
+    // register and the masked tail together.
+    int64_t i = 0;
+    for (; i + 2 * kW <= n; i += 2 * kW) {
+      AddRunColumns<Ops, 2>(xr + i, ldx, run, s + i, 0);
+    }
+    const int64_t rest = n - i;
+    if (rest >= kW) {
+      AddRunColumns<Ops, 1>(xr + i, ldx, run, s + i,
+                            static_cast<int>(rest - kW));
+    } else if (rest > 0) {
+      AddRunColumns<Ops, 0>(xr + i, ldx, run, s + i, static_cast<int>(rest));
+    }
+    r = end;
   }
 }
 
@@ -497,6 +599,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.axpy = &AxpyImpl<Ops>;
   kernels.add = &AddImpl<Ops>;
   kernels.segment_row_sums = &SegmentRowSumsImpl<Ops>;
+  kernels.scatter_add_rows = &ScatterAddRowsImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
   kernels.transpose = &TransposeImpl<Ops>;

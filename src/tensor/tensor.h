@@ -6,6 +6,7 @@
 #define ADR_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -81,15 +82,11 @@ class Tensor {
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 
-  /// \brief Steals the backing storage (rvalue only); the tensor is left
-  /// empty. Pairs with the (Shape, vector) constructor so hot paths can
-  /// recycle capacity across steps instead of reallocating.
-  std::vector<float> TakeData() && {
-    std::vector<float> out = std::move(data_);
-    shape_ = Shape({});
-    data_.assign(1, 0.0f);
-    return out;
-  }
+  /// \brief Exchanges the backing storage with `*data` and reshapes to
+  /// `dims` in place; `data->size()` must equal the element count of
+  /// `dims`. Neither buffer is copied and the shape reuses its capacity,
+  /// so handing a buffer out and back each step allocates nothing.
+  void SwapData(std::initializer_list<int64_t> dims, std::vector<float>* data);
 
   std::string DebugString(int64_t max_elements = 16) const;
 

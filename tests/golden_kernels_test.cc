@@ -143,6 +143,44 @@ TEST(GoldenKernels, SegmentRowSumsMatchScalarOrderBitwise) {
   }
 }
 
+TEST(GoldenKernels, ScatterAddRowsMatchesPerRowLoopBitwise) {
+  // Runs of length 1 (ids 0 and 3), a long run of 20 (id 2), id 0 again
+  // after other ids, id 4 never used, and a run of 2 (id 5) on the last
+  // rows. The last row of x and the sum of id 5 both end exactly at the
+  // end of their allocations, so an over-read past n floats shows up
+  // under AddressSanitizer. Sums start at -0, +0 or random values and x
+  // holds -0 and +0 entries: signed zeros must come out as in the loop.
+  std::vector<int32_t> ids(20, 2);
+  for (const int32_t id : {0, 1, 1, 0, 3, 1, 1, 1, 5, 5}) ids.push_back(id);
+  const int64_t rows = static_cast<int64_t>(ids.size());
+  const int64_t num_ids = 6;
+  for (const simd::Kernels* backend : Backends()) {
+    for (int64_t n = 1; n <= 17; ++n) {
+      const int64_t ldx = n + 3;
+      std::vector<float> x = RandomVector((rows - 1) * ldx + n, 900 + n);
+      for (size_t i = 0; i < x.size(); i += 3) x[i] = -0.0f;
+      for (size_t i = 1; i < x.size(); i += 7) x[i] = 0.0f;
+      std::vector<float> sums = RandomVector(num_ids * n, 950 + n);
+      for (size_t i = 0; i < sums.size(); i += 2) sums[i] = -0.0f;
+      for (size_t i = 1; i < sums.size(); i += 5) sums[i] = 0.0f;
+
+      std::vector<float> expected = sums;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t i = 0; i < n; ++i) {
+          expected[static_cast<size_t>(ids[static_cast<size_t>(r)] * n + i)] +=
+              x[static_cast<size_t>(r * ldx + i)];
+        }
+      }
+      backend->scatter_add_rows(x.data(), ldx, rows, ids.data(), sums.data(),
+                                n);
+      EXPECT_EQ(std::memcmp(sums.data(), expected.data(),
+                            sums.size() * sizeof(float)),
+                0)
+          << backend->name << " n=" << n;
+    }
+  }
+}
+
 TEST(GoldenKernels, CopyIsBitwiseExactAndLeavesTailUntouched) {
   // GatherHits in the cluster-reuse cache depends on copy being a pure
   // bitwise move on every backend.

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/reuse_conv2d.h"
+#include "core/subvector_clustering.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
+#include "tests/clustering_harness.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -116,6 +120,33 @@ TEST(ParallelDeterminismTest, ReuseConv2dBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(run.size(), reference.size());
     for (size_t i = 0; i < run.size(); ++i) {
       ExpectBitIdentical(run[i], reference[i], names[i], threads);
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, StreamingClustererBitIdenticalAcrossThreads) {
+  // CifarNet conv2's shape at L = 10, H = 11: 80 blocks and 64-row tiles,
+  // so both per-tile phases split their blocks over several chunks. Every
+  // thread count must reproduce the materialized oracle bit for bit.
+  ThreadCountGuard guard;
+  const ConvGeometry geo = testutil::SameConvGeometry(16, 32, 16, 5);
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  const Tensor cols = testutil::SmoothUnfolded(geo, 35);
+  auto families = BlockLshFamilies::Create(k, 10, 11, 23);
+  ASSERT_TRUE(families.ok());
+  const ReuseClustering oracle =
+      ClusterSubVectors(*families, cols.data(), n, n);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ThreadPool::SetGlobalThreads(threads);
+    StreamingSubVectorClusterer clusterer;
+    // Two cycles: the second runs on recycled buffers.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      ReuseClustering got = testutil::StreamClustering(
+          *families, cols.data(), n, n, L2TileRows(k), &clusterer);
+      testutil::ExpectSameClustering(got, oracle);
+      clusterer.Recycle(std::move(got));
     }
   }
 }
