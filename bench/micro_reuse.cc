@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -107,7 +108,9 @@ void BM_ReuseBackward(benchmark::State& state) {
     return;
   }
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, wl.x.data(), Workload::kN, Workload::kN);
+      ClusteredMatmulForward(*families, wl.x.data(), Workload::kN, wl.w,
+                             nullptr, Workload::kN, nullptr)
+          .clustering;
   for (auto _ : state) {
     BackwardReuseResult result = ReuseBackward(clustering, wl.w, wl.dy);
     benchmark::DoNotOptimize(result.grad_weight.data());
@@ -130,10 +133,19 @@ void BM_ClusterOnly(benchmark::State& state) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
   }
+  // One persistent clusterer, recycling each clustering as the layer does,
+  // in the forward's tile height.
+  StreamingSubVectorClusterer clusterer;
+  const int64_t tile_rows = L2TileRows(Workload::kK);
   for (auto _ : state) {
-    ReuseClustering clustering = ClusterSubVectors(
-        *families, wl.x.data(), Workload::kN, Workload::kN);
+    clusterer.Begin(&*families, Workload::kN, Workload::kN);
+    for (int64_t row = 0; row < Workload::kN; row += tile_rows) {
+      clusterer.ConsumeTile(wl.x.data() + row * Workload::kK, row,
+                            std::min(tile_rows, Workload::kN - row));
+    }
+    ReuseClustering clustering = clusterer.Finish();
     benchmark::DoNotOptimize(clustering.blocks.data());
+    clusterer.Recycle(std::move(clustering));
   }
   state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK *
                           h);
@@ -334,8 +346,9 @@ ConvWorkload& SharedConvWorkload() {
   return *workload;
 }
 
-// Materialized pipeline: im2col the whole batch, then cluster + gather
-// GEMM — the pre-fusion data flow, on the same arena-backed core.
+// Materialized pipeline: im2col the whole batch into the arena, then
+// cluster + gather GEMM over it — the pre-fusion data flow, on the same
+// streaming core. peak_workspace_bytes counts the N x K matrix.
 void BM_MaterializedClusteredForward(benchmark::State& state) {
   SetupThreads(state);
   ConvWorkload& wl = SharedConvWorkload();
@@ -353,12 +366,9 @@ void BM_MaterializedClusteredForward(benchmark::State& state) {
     arena.Reset();
     float* cols = arena.AllocFloats(n * k);
     Im2Col(wl.geo, wl.input.data(), cols);
-    float* y = arena.AllocFloats(n * ConvWorkload::kM);
-    ReuseClustering clustering;
-    ForwardReuseStats stats;
-    ClusteredMatmulForwardInto(*families, cols, n, wl.w, nullptr, n,
-                               nullptr, &arena, y, &clustering, &stats);
-    benchmark::DoNotOptimize(y);
+    ForwardReuseResult result =
+        ClusteredMatmulForward(*families, cols, n, wl.w, nullptr, n, nullptr);
+    benchmark::DoNotOptimize(result.y_rows.data());
   }
   state.counters["peak_workspace_bytes"] =
       static_cast<double>(arena.reserved_bytes());

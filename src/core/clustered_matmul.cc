@@ -31,17 +31,14 @@ void ScatterClusterOutputs(const float* yc, const Clustering& clustering,
   });
 }
 
-}  // namespace
-
-namespace {
-
-// The shared back half of every LSH forward: given a finished clustering,
+// The shared back half of every reuse forward: given a finished clustering,
 // consult the cross-batch cache, run one GEMM over the missed centroids
 // per block (gathered compactly when some clusters hit), scatter the
-// cluster outputs to the member rows, and add the bias. Both the
-// materialized and the fused pipelines call this, so their outputs agree
-// bit-for-bit whenever their clusterings do. `y` (num_rows x m) is
-// overwritten; transient buffers bump from `scratch`.
+// cluster outputs to the member rows, and add the bias. Every forward
+// (LSH through StreamClusteredForward, and k-means with no cache and
+// num_hashes = 0) ends here, so outputs agree bit-for-bit whenever
+// clusterings do. `y` (num_rows x m) is overwritten; transient buffers
+// bump from `scratch`.
 void FinishForwardFromClustering(ReuseClustering* clustering,
                                  const Tensor& weight, const Tensor* bias,
                                  ClusterReuseCache* cache, int num_hashes,
@@ -175,37 +172,48 @@ void PublishCoreForwardMetrics(const ForwardReuseStats& stats) {
   metrics.histogram("core/gemm_seconds")->Record(stats.gemm_seconds);
 }
 
-}  // namespace
-
-void ClusteredMatmulForwardInto(const BlockLshFamilies& families,
-                                const float* x, int64_t num_rows,
-                                const Tensor& weight, const Tensor* bias,
-                                int64_t rows_per_group,
-                                ClusterReuseCache* cache,
-                                WorkspaceArena* arena, float* y,
-                                ReuseClustering* clustering,
-                                ForwardReuseStats* stats) {
+// The one LSH forward: streams the num_rows unfolded rows through
+// `clusterer` in L2TileRows(k)-row tiles, where `tile_at(row, rows)`
+// returns rows [row, row + rows) at stride k, then runs the shared back
+// half. Its callers differ only in where a tile comes from.
+template <typename TileSource>
+void StreamClusteredForward(const BlockLshFamilies& families,
+                            int64_t num_rows, const Tensor& weight,
+                            const Tensor* bias, int64_t rows_per_group,
+                            ClusterReuseCache* cache,
+                            ScratchAllocator* scratch,
+                            StreamingSubVectorClusterer* clusterer,
+                            TileSource tile_at, float* y,
+                            ReuseClustering* clustering,
+                            ForwardReuseStats* stats) {
+  const int64_t k = families.k();
   ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], families.k());
-
-  ADR_TRACE_SPAN("ClusteredMatmulForward");
+  ADR_CHECK_EQ(weight.shape()[0], k);
   Timer timer;
 
-  // 1. Cluster all column blocks (hashing + grouping + centroids).
+  // 1. Hash and cluster tile by tile (hashing + grouping + centroids).
   {
-    ADR_TRACE_SPAN("lsh_cluster");
-    *clustering = ClusterSubVectors(families, x, num_rows, rows_per_group);
+    ADR_TRACE_SPAN("fused_tile_cluster");
+    clusterer->Begin(&families, num_rows, rows_per_group);
+    const int64_t tile_rows = L2TileRows(k);
+    for (int64_t row = 0; row < num_rows; row += tile_rows) {
+      const int64_t rows = std::min(tile_rows, num_rows - row);
+      clusterer->ConsumeTile(tile_at(row, rows), row, rows);
+    }
+    *clustering = clusterer->Finish();
   }
   stats->hash_seconds = timer.ElapsedSeconds();
 
+  // 2. Gather-GEMM over the centroids only, then scatter.
   timer.Reset();
-  ScratchAllocator scratch(arena);
   FinishForwardFromClustering(clustering, weight, bias, cache,
-                              families.family(0).num_hashes(), &scratch, y,
+                              families.family(0).num_hashes(), scratch, y,
                               stats);
   stats->gemm_seconds = timer.ElapsedSeconds();
   PublishCoreForwardMetrics(*stats);
 }
+
+}  // namespace
 
 ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           const float* x, int64_t num_rows,
@@ -213,12 +221,17 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           const Tensor* bias,
                                           int64_t rows_per_group,
                                           ClusterReuseCache* cache) {
+  ADR_TRACE_SPAN("ClusteredMatmulForward");
+  const int64_t k = families.k();
   ForwardReuseResult result;
   result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
-  ClusteredMatmulForwardInto(families, x, num_rows, weight, bias,
-                             rows_per_group, cache, /*arena=*/nullptr,
-                             result.y_rows.data(), &result.clustering,
-                             &result.stats);
+  ScratchAllocator scratch(/*arena=*/nullptr);
+  StreamingSubVectorClusterer clusterer;
+  // Tiles are read in place from x.
+  StreamClusteredForward(
+      families, num_rows, weight, bias, rows_per_group, cache, &scratch,
+      &clusterer, [x, k](int64_t row, int64_t) { return x + row * k; },
+      result.y_rows.data(), &result.clustering, &result.stats);
   return result;
 }
 
@@ -230,48 +243,26 @@ void FusedClusteredForward(const BlockLshFamilies& families,
                            StreamingSubVectorClusterer* clusterer, float* y,
                            ReuseClustering* clustering,
                            ForwardReuseStats* stats) {
-  const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   ADR_CHECK_EQ(k, families.k());
-  ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], k);
   ADR_CHECK(clusterer != nullptr);
 
   ADR_TRACE_SPAN("FusedClusteredForward");
-  Timer timer;
   ScratchAllocator scratch(arena);
-
-  // 1. Stream L2-sized row tiles through im2col + hash + cluster; the
-  // unfolded matrix never exists. (Tile generation parallelizes over row
-  // sub-ranges; hashing inside ConsumeTile parallelizes itself when a
-  // tile is large enough to pay for it.)
-  {
-    ADR_TRACE_SPAN("fused_tile_cluster");
-    clusterer->Begin(&families, n, rows_per_group);
-    const int64_t tile_rows = L2TileRows(k);
-    float* tile = scratch.Floats(tile_rows * k);
-    for (int64_t row = 0; row < n; row += tile_rows) {
-      const int64_t rows = std::min(tile_rows, n - row);
-      {
-        ADR_TRACE_SPAN("im2col_tile");
-        ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
-          Im2ColRows(geo, input_nchw, row + begin, row + end,
-                     tile + begin * k);
-        });
-      }
-      clusterer->ConsumeTile(tile, row, rows);
-    }
-    *clustering = clusterer->Finish();
-  }
-  stats->hash_seconds = timer.ElapsedSeconds();
-
-  // 2. Gather-GEMM over the centroids only, then scatter.
-  timer.Reset();
-  FinishForwardFromClustering(clustering, weight, bias, cache,
-                              families.family(0).num_hashes(), &scratch, y,
-                              stats);
-  stats->gemm_seconds = timer.ElapsedSeconds();
-  PublishCoreForwardMetrics(*stats);
+  // Tiles are generated by im2col into one L2-sized buffer; the unfolded
+  // matrix never exists. (Tile generation parallelizes over row
+  // sub-ranges; ConsumeTile parallelizes over blocks.)
+  float* tile = scratch.Floats(L2TileRows(k) * k);
+  const auto im2col_tile = [&](int64_t row, int64_t rows) {
+    ADR_TRACE_SPAN("im2col_tile");
+    ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
+      Im2ColRows(geo, input_nchw, row + begin, row + end, tile + begin * k);
+    });
+    return static_cast<const float*>(tile);
+  };
+  StreamClusteredForward(families, geo.unfolded_rows(), weight, bias,
+                         rows_per_group, cache, &scratch, clusterer,
+                         im2col_tile, y, clustering, stats);
   MetricsRegistry::Global().counter("core/fused_forwards")->Increment();
 }
 
@@ -283,7 +274,6 @@ ForwardReuseResult KMeansMatmulForward(
   ADR_CHECK_EQ(weight.shape()[0], k);
   ADR_CHECK_GT(num_rows, 0);
   ADR_CHECK_EQ(num_rows % rows_per_group, 0);
-  const int64_t m = weight.shape()[1];
   const int64_t length =
       sub_vector_length <= 0 || sub_vector_length > k ? k : sub_vector_length;
 
@@ -332,24 +322,12 @@ ForwardReuseResult KMeansMatmulForward(
   result.stats.hash_seconds = timer.ElapsedSeconds();
 
   timer.Reset();
-  result.y_rows = Tensor(Shape({num_rows, m}));
-  float* y = result.y_rows.data();
-  for (const SubMatrixClustering& block : result.clustering.blocks) {
-    const int64_t num_clusters = block.clustering.num_clusters();
-    Tensor yc(Shape({num_clusters, m}));
-    Gemm(block.centroids.data(), weight.data() + block.col_offset * m,
-         yc.data(), num_clusters, block.length, m);
-    result.stats.macs_gemm +=
-        static_cast<double>(num_clusters) * block.length * m;
-    ScatterClusterOutputs(yc.data(), block.clustering, num_rows, m, y);
-    result.stats.macs_scatter += static_cast<double>(num_rows) * m;
-    result.stats.clusters_total += num_clusters;
-  }
-  if (bias != nullptr) AddRowBias(*bias, &result.y_rows);
+  result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
+  ScratchAllocator scratch(/*arena=*/nullptr);
+  FinishForwardFromClustering(&result.clustering, weight, bias,
+                              /*cache=*/nullptr, /*num_hashes=*/0, &scratch,
+                              result.y_rows.data(), &result.stats);
   result.stats.gemm_seconds = timer.ElapsedSeconds();
-  result.stats.macs_baseline = static_cast<double>(num_rows) * k * m;
-  result.stats.avg_remaining_ratio =
-      result.clustering.AverageRemainingRatio();
   return result;
 }
 

@@ -191,26 +191,6 @@ void ClusterRowSums(const float* dy, const Clustering& clustering, int64_t m,
   ClusterRowSumsWith(dy, clustering, m, ws, sums);
 }
 
-void ReuseBackwardInto(const ReuseClustering& clustering,
-                       const Tensor& weight, const float* dy,
-                       WorkspaceArena* arena, float* grad_weight,
-                       float* grad_bias, float* grad_x,
-                       BackwardReuseStats* stats) {
-  Timer timer;
-  ScratchAllocator scratch(arena);
-  const BlockDelta* deltas = CentroidDeltas(
-      clustering, weight, dy, &scratch, grad_weight, grad_bias, stats);
-  const int64_t n = clustering.num_rows;
-  const int64_t k = clustering.num_cols;
-  const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
-  ParallelFor(n, GrainForCost(k), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      GatherRow(deltas, num_blocks, i, grad_x + i * k);
-    }
-  });
-  stats->seconds = timer.ElapsedSeconds();
-}
-
 void ReuseBackwardFoldInto(const ReuseClustering& clustering,
                            const Tensor& weight, const float* dy,
                            const ConvGeometry& geo, WorkspaceArena* arena,
@@ -243,13 +223,24 @@ BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
   const int64_t m = weight.shape()[1];
   ADR_CHECK(dy.shape() == Shape({n, m}));
 
+  Timer timer;
   BackwardReuseResult result;
   result.grad_weight = Tensor(Shape({k, m}));
   result.grad_bias = Tensor(Shape({m}));
   result.grad_x = Tensor(Shape({n, k}));
-  ReuseBackwardInto(clustering, weight, dy.data(), /*arena=*/nullptr,
-                    result.grad_weight.data(), result.grad_bias.data(),
-                    result.grad_x.data(), &result.stats);
+  ScratchAllocator scratch(/*arena=*/nullptr);
+  const BlockDelta* deltas =
+      CentroidDeltas(clustering, weight, dy.data(), &scratch,
+                     result.grad_weight.data(), result.grad_bias.data(),
+                     &result.stats);
+  const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
+  float* grad_x = result.grad_x.data();
+  ParallelFor(n, GrainForCost(k), [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      GatherRow(deltas, num_blocks, i, grad_x + i * k);
+    }
+  });
+  result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }
 

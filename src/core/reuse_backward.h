@@ -38,25 +38,17 @@ struct BackwardReuseResult {
 ///   dx_{c,I}  = dy_{c,I,sa} * W_I^T                           (Eq. 18),
 /// and every row of dx gathers its clusters' centroid deltas (Eq. 13).
 /// grad_bias is exact (column sums of dy), matching the baseline layer.
+/// grad_x is the N x K form that tests and benches read; the conv layer
+/// folds the same rows into its input gradient (ReuseBackwardFoldInto).
 BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
                                   const Tensor& weight, const Tensor& dy);
-
-/// \brief ReuseBackward into caller-owned buffers: the N x K form used by
-/// tests and benches. `dy` is N x M; `grad_weight` ([K, M]), `grad_bias`
-/// ([M]) and `grad_x` ([N, K]) are fully overwritten; scratch bumps from
-/// `arena` (heap fallback when null). Bit-identical to ReuseBackward.
-void ReuseBackwardInto(const ReuseClustering& clustering,
-                       const Tensor& weight, const float* dy,
-                       WorkspaceArena* arena, float* grad_weight,
-                       float* grad_bias, float* grad_x,
-                       BackwardReuseStats* stats);
 
 /// \brief The reuse backward of a convolution with the input delta folded
 /// straight into the NCHW input gradient: the conv layer's form. Each
 /// unfolded row of dx is gathered from the blocks' centroid deltas into a
 /// K-float buffer and added into `grad_input` ([Nb, Ic, Ih, Iw] of `geo`,
 /// fully overwritten) by Col2ImRows, so the N x K dx is never allocated.
-/// grad_input is bitwise equal to Col2Im of ReuseBackwardInto's grad_x;
+/// grad_input is bitwise equal to Col2Im of ReuseBackward's grad_x;
 /// grad_weight and grad_bias are the same as there.
 void ReuseBackwardFoldInto(const ReuseClustering& clustering,
                            const Tensor& weight, const float* dy,

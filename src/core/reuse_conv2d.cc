@@ -109,15 +109,7 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   if (!reuse_.enabled) {
     // Dense path: identical to Conv2d. The unfolded input is kept for the
     // exact backward only while training.
-    float* cols = arena_.AllocFloats(n * k);
-    {
-      ADR_TRACE_SPAN("im2col");
-      Timer im2col_timer;
-      Im2Col(geo, input.data(), cols);
-      MetricsRegistry::Global()
-          .histogram(metric_prefix_ + "im2col_seconds")
-          ->Record(im2col_timer.ElapsedSeconds());
-    }
+    float* cols = Im2ColIntoArena(geo, input);
     float* y = arena_.AllocFloats(n * m);
     Gemm(cols, weight_.data(), y, n, k, m);
     AddRowBias(bias_.data(), y, n, m);
@@ -141,40 +133,28 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   ForwardReuseStats fs;
   float* y = arena_.AllocFloats(n * m);
 
-  if (reuse_.method == ClusteringMethod::kKMeans ||
-      (exact_backward_ && training)) {
-    // Materialized paths: k-means needs iterative passes over the rows,
-    // and the exact-backward ablation needs the unfolded input alive for
-    // Backward — both keep the N x K matrix (arena-owned).
-    float* cols = arena_.AllocFloats(n * k);
-    {
-      ADR_TRACE_SPAN("im2col");
-      Timer im2col_timer;
-      Im2Col(geo, input.data(), cols);
-      MetricsRegistry::Global()
-          .histogram(metric_prefix_ + "im2col_seconds")
-          ->Record(im2col_timer.ElapsedSeconds());
-    }
-    if (reuse_.method == ClusteringMethod::kKMeans) {
-      ForwardReuseResult forward = KMeansMatmulForward(
-          cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
-          rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
-          reuse_.seed);
-      clustering = std::move(forward.clustering);
-      fs = forward.stats;
-      std::copy_n(forward.y_rows.data(), n * m, y);
-    } else {
-      ClusteredMatmulForwardInto(families_, cols, n, weight_, &bias_,
-                                 rows_per_group, cache_.get(), &arena_, y,
-                                 &clustering, &fs);
-    }
+  if (reuse_.method == ClusteringMethod::kKMeans) {
+    // K-means needs iterative passes over the rows, so it materializes
+    // the N x K matrix (arena-owned).
+    float* cols = Im2ColIntoArena(geo, input);
+    ForwardReuseResult forward = KMeansMatmulForward(
+        cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
+        rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
+        reuse_.seed);
+    clustering = std::move(forward.clustering);
+    fs = forward.stats;
+    std::copy_n(forward.y_rows.data(), n * m, y);
     if (training && exact_backward_) cached_cols_data_ = cols;
   } else {
     // Fused tiled path: im2col rows stream straight from the NCHW input
-    // into the hash pipeline; the N x K matrix never exists.
+    // into the hash pipeline; the N x K matrix never exists. The
+    // exact-backward ablation alone keeps an unfolded copy for Backward.
     FusedClusteredForward(families_, geo, input.data(), weight_, &bias_,
                           rows_per_group, cache_.get(), &arena_,
                           &clusterer_, y, &clustering, &fs);
+    if (training && exact_backward_) {
+      cached_cols_data_ = Im2ColIntoArena(geo, input);
+    }
   }
 
   if (training) {
@@ -201,6 +181,18 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
   RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
   return out;
+}
+
+float* ReuseConv2d::Im2ColIntoArena(const ConvGeometry& geo,
+                                    const Tensor& input) {
+  ADR_TRACE_SPAN("im2col");
+  Timer timer;
+  float* cols = arena_.AllocFloats(geo.unfolded_rows() * geo.unfolded_cols());
+  Im2Col(geo, input.data(), cols);
+  MetricsRegistry::Global()
+      .histogram(metric_prefix_ + "im2col_seconds")
+      ->Record(timer.ElapsedSeconds());
+  return cols;
 }
 
 void ReuseConv2d::PublishForwardMetrics(const ForwardReuseStats& fs) {

@@ -127,6 +127,10 @@ class ReuseConv2d : public Layer {
 
   void RebuildFamilies();
 
+  /// Unfolds `input` into an arena-owned [N, K] matrix (span "im2col",
+  /// histogram im2col_seconds) and returns it.
+  float* Im2ColIntoArena(const ConvGeometry& geo, const Tensor& input);
+
   /// Publishes the layer's per-batch telemetry (r_c, reuse rate R,
   /// cluster count, phase wall-times, predicted-vs-measured Eq. 5/6
   /// forward cost) into MetricsRegistry::Global() under metric_prefix_.

@@ -59,59 +59,6 @@ Result<BlockLshFamilies> BlockLshFamilies::Create(int64_t k,
   return out;
 }
 
-ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
-                                  const float* x, int64_t num_rows,
-                                  int64_t rows_per_group) {
-  ADR_CHECK_GT(num_rows, 0);
-  ADR_CHECK_GT(rows_per_group, 0);
-  ADR_CHECK_EQ(num_rows % rows_per_group, 0)
-      << "rows_per_group must divide num_rows";
-  const int64_t k = families.k();
-
-  ReuseClustering result;
-  result.num_rows = num_rows;
-  result.num_cols = k;
-  result.blocks.resize(static_cast<size_t>(families.num_blocks()));
-
-  std::vector<LshSignature> sigs;
-  for (int64_t b = 0; b < families.num_blocks(); ++b) {
-    SubMatrixClustering& block = result.blocks[static_cast<size_t>(b)];
-    block.col_offset = families.block_offset(b);
-    block.length = families.block_length(b);
-    const LshFamily& family = families.family(b);
-
-    Clustering& merged = block.clustering;
-    merged.assignment.resize(static_cast<size_t>(num_rows));
-    for (int64_t group_start = 0; group_start < num_rows;
-         group_start += rows_per_group) {
-      sigs.resize(static_cast<size_t>(rows_per_group));
-      family.HashRowsInto(x + group_start * k + block.col_offset,
-                          rows_per_group, k, sigs.data());
-      std::vector<LshSignature> group_cluster_sigs;
-      const Clustering group =
-          ClusterBySignature(sigs, &group_cluster_sigs);
-      const int32_t id_offset =
-          static_cast<int32_t>(merged.cluster_sizes.size());
-      for (int64_t i = 0; i < rows_per_group; ++i) {
-        merged.assignment[static_cast<size_t>(group_start + i)] =
-            id_offset + group.assignment[static_cast<size_t>(i)];
-      }
-      merged.cluster_sizes.insert(merged.cluster_sizes.end(),
-                                  group.cluster_sizes.begin(),
-                                  group.cluster_sizes.end());
-      block.signatures.insert(block.signatures.end(),
-                              group_cluster_sigs.begin(),
-                              group_cluster_sigs.end());
-    }
-
-    block.centroids = ComputeCentroids(x + block.col_offset, num_rows,
-                                       block.length, k, merged);
-    block.reused_from_cache.assign(
-        static_cast<size_t>(merged.num_clusters()), false);
-  }
-  return result;
-}
-
 void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
                                         int64_t num_rows,
                                         int64_t rows_per_group) {
@@ -202,7 +149,7 @@ void StreamingSubVectorClusterer::ClusterBlockTile(
   }
   // The centroid sums accumulate in ComputeCentroids' row order with the
   // same single-rounding adds, so they are bit-identical to the
-  // materialized path.
+  // materialized reference.
   const int64_t length = families_->block_length(block);
   bs.centroids.resize(bs.sizes.size() * static_cast<size_t>(length), 0.0f);
   kernels.scatter_add_rows(tile + families_->block_offset(block),
@@ -227,7 +174,7 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
   const int64_t pass_grain = GrainForCost(tile_rows * (block_cols + kProbeOps));
 
   // Every block's columns are hashed in place at stride k, through the
-  // same kernel call ClusterSubVectors makes on the full matrix.
+  // same kernel call the reference makes on the full matrix.
   {
     ADR_TRACE_SPAN("lsh_hash");
     ParallelFor(num_blocks, hash_grain, [&](int64_t begin, int64_t end) {

@@ -76,23 +76,14 @@ class BlockLshFamilies {
   std::vector<int64_t> lengths_;
 };
 
-/// \brief Clusters the rows of `x` (num_rows x k, row-major) per block.
+/// \brief The library's LSH sub-vector clusterer: clusters the rows of
+/// the unfolded matrix per column block, fed as consecutive row tiles.
 ///
-/// `rows_per_group` controls the clustering scope: rows are clustered in
-/// consecutive groups of that size with cluster IDs never shared across
-/// groups (pass num_rows for single-batch scope, N_img for single-input
-/// scope). Centroids are computed from the raw (unnormalized) sub-vectors;
-/// signatures are sign-invariant to scaling so no explicit normalization is
-/// needed for the angular metric.
-ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
-                                  const float* x, int64_t num_rows,
-                                  int64_t rows_per_group);
-
-/// \brief Incremental ClusterSubVectors over consecutive row tiles.
-///
-/// The fused forward feeds the unfolded matrix as L2-sized tiles
-/// (Im2ColRows output) and this clusterer reproduces ClusterSubVectors
-/// bit-for-bit without the N x K matrix ever existing:
+/// The forward feeds L2-sized tiles (Im2ColRows output, or rows read in
+/// place from a materialized matrix), so the N x K matrix need never
+/// exist. The result is bit-identical to the one-pass materialized
+/// reference in core/subvector_clustering_reference.h, whatever the tile
+/// height:
 ///   - signatures go through the same sign-projection kernel, whose
 ///     per-row bits are independent of how rows are tiled;
 ///   - cluster ids are assigned in the same first-seen order with the
@@ -120,8 +111,15 @@ ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
 /// here.
 class StreamingSubVectorClusterer {
  public:
-  /// \brief Starts a clustering of `num_rows` width-k rows; scope as in
-  /// ClusterSubVectors. `families` must outlive the cycle.
+  /// \brief Starts a clustering of `num_rows` width-k rows. `families`
+  /// must outlive the cycle.
+  ///
+  /// `rows_per_group` controls the clustering scope: rows are clustered
+  /// in consecutive groups of that size with cluster IDs never shared
+  /// across groups (pass num_rows for single-batch scope, N_img for
+  /// single-input scope). Centroids are computed from the raw
+  /// (unnormalized) sub-vectors; signatures are sign-invariant to scaling
+  /// so no explicit normalization is needed for the angular metric.
   void Begin(const BlockLshFamilies* families, int64_t num_rows,
              int64_t rows_per_group);
 

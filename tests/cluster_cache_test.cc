@@ -18,6 +18,7 @@
 #include "core/clustered_matmul.h"
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
+#include "core/subvector_clustering_reference.h"
 #include "kernel_harness.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
@@ -60,7 +61,7 @@ ReferenceForwardResult ReferenceForward(const BlockLshFamilies& families,
                                         int64_t rows_per_group,
                                         ReferenceClusterCache* cache) {
   ReuseClustering clustering =
-      ClusterSubVectors(families, x, num_rows, rows_per_group);
+      ReferenceClusterSubVectors(families, x, num_rows, rows_per_group);
   const int64_t m = weight.shape()[1];
   ReferenceForwardResult result;
   result.y = Tensor(Shape({num_rows, m}));

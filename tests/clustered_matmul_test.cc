@@ -1,6 +1,9 @@
-// Tests for ClusteredMatmulForward and the Algorithm-1 cluster reuse cache.
+// Tests for ClusteredMatmulForward, KMeansMatmulForward and the
+// Algorithm-1 cluster reuse cache.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "core/clustered_matmul.h"
 #include "tensor/gemm.h"
@@ -220,6 +223,61 @@ TEST(ClusteredMatmulTest, SingleInputScopeMatchesGroupedClustering) {
   const ForwardReuseResult batch_scope = ClusteredMatmulForward(
       *families, x.data(), 12, w, nullptr, 12, nullptr);
   EXPECT_GE(result.stats.clusters_total, batch_scope.stats.clusters_total);
+}
+
+TEST(ClusteredMatmulTest, KMeansForwardIsCentroidGemmScatterPlusBias) {
+  // Three groups of noisy prototype rows, a ragged last block (K = 10 at
+  // L = 4) and a bias. y must be, bit for bit, the per-block centroid
+  // GEMM of the returned clustering scattered to the member rows, plus
+  // the bias.
+  const int64_t n = 36, k = 10, m = 6, rows_per_group = 12;
+  Rng rng(9);
+  const Tensor protos = Tensor::RandomGaussian(Shape({4, k}), &rng);
+  Tensor x(Shape({n, k}));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      x.at(i, j) = protos.at(i % 4, j) + 0.1f * rng.NextGaussian();
+    }
+  }
+  const Tensor w = Tensor::RandomGaussian(Shape({k, m}), &rng);
+  const Tensor bias = Tensor::RandomGaussian(Shape({m}), &rng);
+  const ForwardReuseResult result =
+      KMeansMatmulForward(x.data(), n, k, /*sub_vector_length=*/4, w, &bias,
+                          rows_per_group, /*clusters_per_group=*/3,
+                          /*iterations=*/10, /*seed=*/5);
+  ASSERT_EQ(result.clustering.blocks.size(), 3u);
+  ASSERT_EQ(result.y_rows.shape(), Shape({n, m}));
+
+  Tensor expected(Shape({n, m}));
+  double expected_gemm = 0.0;
+  for (const SubMatrixClustering& block : result.clustering.blocks) {
+    const int64_t num_clusters = block.clustering.num_clusters();
+    ASSERT_LE(num_clusters, 3 * (n / rows_per_group));
+    ASSERT_EQ(block.centroids.shape(), Shape({num_clusters, block.length}));
+    Tensor yc(Shape({num_clusters, m}));
+    Gemm(block.centroids.data(), w.data() + block.col_offset * m, yc.data(),
+         num_clusters, block.length, m);
+    for (int64_t i = 0; i < n; ++i) {
+      const int32_t c = block.clustering.assignment[static_cast<size_t>(i)];
+      ASSERT_GE(c, 0);
+      ASSERT_LT(c, num_clusters);
+      for (int64_t j = 0; j < m; ++j) expected.at(i, j) += yc.at(c, j);
+    }
+    expected_gemm += static_cast<double>(num_clusters) * block.length * m;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) expected.at(i, j) += bias.at(j);
+  }
+  EXPECT_EQ(std::memcmp(result.y_rows.data(), expected.data(),
+                        sizeof(float) * static_cast<size_t>(n * m)),
+            0);
+
+  EXPECT_DOUBLE_EQ(result.stats.macs_hash, 0.0);
+  EXPECT_DOUBLE_EQ(result.stats.macs_gemm, expected_gemm);
+  EXPECT_DOUBLE_EQ(result.stats.macs_scatter, 3.0 * n * m);
+  EXPECT_DOUBLE_EQ(result.stats.macs_baseline, static_cast<double>(n) * k * m);
+  EXPECT_EQ(result.stats.clusters_total, result.clustering.TotalClusters());
+  EXPECT_EQ(result.stats.clusters_reused, 0);
 }
 
 }  // namespace

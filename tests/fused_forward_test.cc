@@ -2,20 +2,26 @@
 // must be bit-identical to ClusteredMatmulForward on the materialized
 // Im2Col matrix — same signatures, same clusterings, same outputs — at
 // every compiled SIMD backend and thread count, with and without the
-// cluster-reuse cache, and across tile/group boundary misalignment.
+// cluster-reuse cache, and across tile/group boundary misalignment. Both
+// run the streaming clusterer, so both clusterings are also checked
+// against the independent materialized reference
+// (core/subvector_clustering_reference.h).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/clustered_matmul.h"
 #include "core/reuse_conv2d.h"
+#include "core/subvector_clustering_reference.h"
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
 #include "tensor/workspace_arena.h"
+#include "tests/clustering_harness.h"
 #include "tests/kernel_harness.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -24,6 +30,7 @@ namespace adr {
 namespace {
 
 using testutil::Backends;
+using testutil::ExpectSameClustering;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
@@ -60,37 +67,10 @@ ConvGeometry SingleTileGeometry(int64_t batch) {
   return geo;
 }
 
-void ExpectSameClustering(const ReuseClustering& fused,
-                          const ReuseClustering& reference) {
-  ASSERT_EQ(fused.num_rows, reference.num_rows);
-  ASSERT_EQ(fused.num_cols, reference.num_cols);
-  ASSERT_EQ(fused.blocks.size(), reference.blocks.size());
-  for (size_t b = 0; b < fused.blocks.size(); ++b) {
-    const SubMatrixClustering& fb = fused.blocks[b];
-    const SubMatrixClustering& rb = reference.blocks[b];
-    EXPECT_EQ(fb.col_offset, rb.col_offset) << "block " << b;
-    EXPECT_EQ(fb.length, rb.length) << "block " << b;
-    EXPECT_EQ(fb.clustering.assignment, rb.clustering.assignment)
-        << "block " << b;
-    EXPECT_EQ(fb.clustering.cluster_sizes, rb.clustering.cluster_sizes)
-        << "block " << b;
-    ASSERT_EQ(fb.signatures.size(), rb.signatures.size()) << "block " << b;
-    for (size_t c = 0; c < fb.signatures.size(); ++c) {
-      EXPECT_TRUE(fb.signatures[c] == rb.signatures[c])
-          << "block " << b << " cluster " << c;
-    }
-    ASSERT_EQ(fb.centroids.shape(), rb.centroids.shape()) << "block " << b;
-    const float* fc = fb.centroids.data();
-    const float* rc = rb.centroids.data();
-    for (int64_t i = 0; i < fb.centroids.num_elements(); ++i) {
-      ASSERT_EQ(fc[i], rc[i]) << "block " << b << " centroid element " << i;
-    }
-  }
-}
-
 // Runs both paths on one input and checks bitwise equality of signatures,
-// clusterings, and outputs. Caches (when provided) must be separate
-// instances in identical states.
+// clusterings, and outputs, and that both clusterings equal the reference
+// clustering of the Im2Col matrix. Caches (when provided) must be
+// separate instances in identical states.
 void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
                                     const ConvGeometry& geo,
                                     const Tensor& input, const Tensor& weight,
@@ -122,6 +102,26 @@ void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
     ASSERT_EQ(y[static_cast<size_t>(i)], ry[i]) << "output element " << i;
   }
   ExpectSameClustering(clustering, reference.clustering);
+
+  // A cache hit replaces its cluster's centroid with the cached
+  // representative; everything else must be the reference's.
+  ReuseClustering expected =
+      ReferenceClusterSubVectors(families, cols.data(), n, rows_per_group);
+  ASSERT_EQ(clustering.blocks.size(), expected.blocks.size());
+  for (size_t b = 0; b < expected.blocks.size(); ++b) {
+    SubMatrixClustering& eb = expected.blocks[b];
+    const SubMatrixClustering& fb = clustering.blocks[b];
+    ASSERT_EQ(fb.reused_from_cache.size(), eb.reused_from_cache.size());
+    for (size_t c = 0; c < eb.reused_from_cache.size(); ++c) {
+      if (!fb.reused_from_cache[c]) continue;
+      eb.reused_from_cache[c] = true;
+      std::memcpy(eb.centroids.data() + c * eb.length,
+                  fb.centroids.data() + c * fb.length,
+                  sizeof(float) * static_cast<size_t>(eb.length));
+    }
+  }
+  ExpectSameClustering(clustering, expected);
+  ExpectSameClustering(reference.clustering, expected);
   EXPECT_EQ(fs.clusters_total, reference.stats.clusters_total);
   EXPECT_EQ(fs.clusters_reused, reference.stats.clusters_reused);
   EXPECT_DOUBLE_EQ(fs.batch_reuse_rate, reference.stats.batch_reuse_rate);
@@ -230,7 +230,7 @@ TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
   // table capacities change (16 slots at H = 3, 128 or 256 at H = 7), and
   // stay the same between some consecutive cycles, so both the resize and
   // the leftover-slot reset at Begin run: every cycle must reproduce the
-  // materialized clustering.
+  // reference clustering.
   const ConvGeometry geo = MultiTileGeometry(4);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
@@ -255,8 +255,8 @@ TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
         {&*fine, image}}) {
     SCOPED_TRACE("H=" + std::to_string(families->family(0).num_hashes()) +
                  " rows_per_group=" + std::to_string(rows_per_group));
-    const ReuseClustering reference =
-        ClusterSubVectors(*families, cols.data(), n, rows_per_group);
+    const ReuseClustering reference = ReferenceClusterSubVectors(
+        *families, cols.data(), n, rows_per_group);
     reused.Begin(families, n, rows_per_group);
     for (int64_t row = 0; row < n; row += 37) {
       const int64_t rows = std::min<int64_t>(37, n - row);
@@ -270,22 +270,27 @@ TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
 
 TEST(FusedForwardTest, MatchesMaterializedWithMisalignedGroupBoundaries) {
   // Per-image scope: 49-row groups vs 64-row tiles, so the signature
-  // table resets of the streaming clusterer land mid-tile.
-  const ConvGeometry geo = MultiTileGeometry(4);
-  const int64_t k = geo.unfolded_cols();
-  ASSERT_NE(geo.rows_per_image() % L2TileRows(k), 0);
+  // table resets of the streaming clusterer land mid-tile. N = 196 and
+  // 245 leave partial last tiles of 4 and 53 rows.
+  for (const int64_t batch : {4, 5}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const ConvGeometry geo = MultiTileGeometry(batch);
+    const int64_t k = geo.unfolded_cols();
+    ASSERT_NE(geo.rows_per_image() % L2TileRows(k), 0);
+    ASSERT_NE(geo.unfolded_rows() % L2TileRows(k), 0);
 
-  Rng rng(12);
-  const Tensor input = Tensor::RandomGaussian(
-      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
-      &rng);
-  const Tensor weight = Tensor::RandomGaussian(Shape({k, 8}), &rng);
-  const Tensor bias = Tensor::RandomGaussian(Shape({8}), &rng);
-  auto families = BlockLshFamilies::Create(k, 160, 8, 6);
-  ASSERT_TRUE(families.ok());
+    Rng rng(12);
+    const Tensor input = Tensor::RandomGaussian(
+        Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+        &rng);
+    const Tensor weight = Tensor::RandomGaussian(Shape({k, 8}), &rng);
+    const Tensor bias = Tensor::RandomGaussian(Shape({8}), &rng);
+    auto families = BlockLshFamilies::Create(k, 160, 8, 6);
+    ASSERT_TRUE(families.ok());
 
-  ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
-                                 geo.rows_per_image(), nullptr, nullptr);
+    ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
+                                   geo.rows_per_image(), nullptr, nullptr);
+  }
 }
 
 TEST(FusedForwardTest, MatchesMaterializedSingleTile) {
@@ -377,9 +382,9 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
 }
 
 TEST(FusedForwardTest, ReuseConv2dFusedMatchesMaterializedLayer) {
-  // Layer-level differential: with exact_backward set, the training
-  // Forward takes the materialized path; the default layer takes the
-  // fused path. Identically seeded weights must give bitwise-equal
+  // Layer-level differential: exact_backward only adds the Im2Col copy
+  // the exact backward reads, so its training Forward must match the
+  // default layer's. Identically seeded weights must give bitwise-equal
   // outputs.
   Conv2dConfig config;
   config.in_channels = 32;
@@ -396,19 +401,17 @@ TEST(FusedForwardTest, ReuseConv2dFusedMatchesMaterializedLayer) {
   Rng rng_a(21);
   Rng rng_b(21);
   ReuseConv2d fused_layer("fused", config, reuse, &rng_a);
-  ReuseConv2d materialized_layer("materialized", config, reuse, &rng_b);
-  materialized_layer.set_exact_backward(true);
+  ReuseConv2d exact_layer("exact", config, reuse, &rng_b);
+  exact_layer.set_exact_backward(true);
 
   Rng data_rng(22);
   const Tensor input = Tensor::RandomGaussian(Shape({4, 32, 7, 7}),
                                               &data_rng);
   const Tensor out_fused = fused_layer.Forward(input, /*training=*/true);
-  const Tensor out_materialized =
-      materialized_layer.Forward(input, /*training=*/true);
-  ASSERT_EQ(out_fused.shape(), out_materialized.shape());
+  const Tensor out_exact = exact_layer.Forward(input, /*training=*/true);
+  ASSERT_EQ(out_fused.shape(), out_exact.shape());
   for (int64_t i = 0; i < out_fused.num_elements(); ++i) {
-    ASSERT_EQ(out_fused.data()[i], out_materialized.data()[i])
-        << "element " << i;
+    ASSERT_EQ(out_fused.data()[i], out_exact.data()[i]) << "element " << i;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
+#include "core/subvector_clustering_reference.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
@@ -127,7 +128,7 @@ TEST(ParallelDeterminismTest, ReuseConv2dBitIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, StreamingClustererBitIdenticalAcrossThreads) {
   // CifarNet conv2's shape at L = 10, H = 11: 80 blocks and 64-row tiles,
   // so both per-tile phases split their blocks over several chunks. Every
-  // thread count must reproduce the materialized oracle bit for bit.
+  // thread count must reproduce the materialized reference bit for bit.
   ThreadCountGuard guard;
   const ConvGeometry geo = testutil::SameConvGeometry(16, 32, 16, 5);
   const int64_t n = geo.unfolded_rows();
@@ -136,7 +137,7 @@ TEST(ParallelDeterminismTest, StreamingClustererBitIdenticalAcrossThreads) {
   auto families = BlockLshFamilies::Create(k, 10, 11, 23);
   ASSERT_TRUE(families.ok());
   const ReuseClustering oracle =
-      ClusterSubVectors(*families, cols.data(), n, n);
+      ReferenceClusterSubVectors(*families, cols.data(), n, n);
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     ThreadPool::SetGlobalThreads(threads);

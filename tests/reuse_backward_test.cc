@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "core/reuse_backward_reference.h"
+#include "core/subvector_clustering_reference.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
@@ -51,7 +51,7 @@ TEST(ReuseBackwardTest, ExactInSingletonLimit) {
   Tensor dy = Tensor::RandomGaussian(Shape({10, 4}), &rng);
 
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 10, 10);
+      ReferenceClusterSubVectors(*families, x.data(), 10, 10);
   if (clustering.TotalClusters() != 10) {
     GTEST_SKIP() << "accidental LSH collision; singleton limit not reached";
   }
@@ -70,7 +70,7 @@ TEST(ReuseBackwardTest, BiasGradientAlwaysExact)
   Tensor w = Tensor::RandomGaussian(Shape({6, 5}), &rng);
   Tensor dy = Tensor::RandomGaussian(Shape({20, 5}), &rng);
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 20, 20);
+      ReferenceClusterSubVectors(*families, x.data(), 20, 20);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
   EXPECT_TRUE(AllClose(reuse.grad_bias, ColumnSums(dy)));
 }
@@ -91,7 +91,7 @@ TEST(ReuseBackwardTest, WeightGradUsesClusterSums) {
   Tensor dy = Tensor::RandomGaussian(Shape({2, 3}), &rng);
 
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 2, 2);
+      ReferenceClusterSubVectors(*families, x.data(), 2, 2);
   ASSERT_EQ(clustering.TotalClusters(), 1);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
   const DenseBackward exact = ExactBackward(x, w, dy);
@@ -113,7 +113,7 @@ TEST(ReuseBackwardTest, InputDeltaIsClusterAverageScattered) {
   Tensor dy = Tensor::RandomGaussian(Shape({3, 2}), &rng);
 
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 3, 3);
+      ReferenceClusterSubVectors(*families, x.data(), 3, 3);
   ASSERT_EQ(clustering.TotalClusters(), 1);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
 
@@ -139,7 +139,7 @@ TEST(ReuseBackwardTest, SubVectorBlocksFillDisjointColumnRanges) {
   Tensor w = Tensor::RandomGaussian(Shape({8, 3}), &rng);
   Tensor dy = Tensor::RandomGaussian(Shape({6, 3}), &rng);
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 6, 6);
+      ReferenceClusterSubVectors(*families, x.data(), 6, 6);
   // Singleton limit per block (60 hashes): exact again, and the two column
   // blocks of dW/dx must combine to the dense result.
   if (clustering.blocks[0].clustering.num_clusters() == 6 &&
@@ -159,7 +159,7 @@ TEST(ReuseBackwardTest, MacAccounting) {
   Tensor w = Tensor::RandomGaussian(Shape({8, 5}), &rng);
   Tensor dy = Tensor::RandomGaussian(Shape({16, 5}), &rng);
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 16, 16);
+      ReferenceClusterSubVectors(*families, x.data(), 16, 16);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
   EXPECT_DOUBLE_EQ(reuse.stats.macs_baseline, 2.0 * 16 * 8 * 5);
   EXPECT_GT(reuse.stats.macs, 0.0);
@@ -184,7 +184,7 @@ TEST(ReuseBackwardTest, CoarseClusteringStillDescends) {
   Tensor w = Tensor::RandomGaussian(Shape({8, 4}), &rng);
   Tensor dy = Tensor::RandomGaussian(Shape({32, 4}), &rng);
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, x.data(), 32, 32);
+      ReferenceClusterSubVectors(*families, x.data(), 32, 32);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
   const DenseBackward exact = ExactBackward(x, w, dy);
   double dot = 0.0;
@@ -238,8 +238,8 @@ TEST(ReuseBackwardFoldTest, FusedFoldEqualsCol2ImOfMaterializedGradX) {
   const int64_t input_size = input.num_elements();
 
   for (const int64_t rows_per_group : {geo.rows_per_image(), n}) {
-    const ReuseClustering clustering =
-        ClusterSubVectors(*families, cols.data(), n, rows_per_group);
+    const ReuseClustering clustering = ReferenceClusterSubVectors(
+        *families, cols.data(), n, rows_per_group);
     ASSERT_LT(clustering.TotalClusters(), n * families->num_blocks());
     for (const simd::Kernels* backend : testutil::Backends()) {
       simd::ScopedKernelsOverride override_backend(*backend);

@@ -1,5 +1,6 @@
-// Tests for ReuseConfig, BlockLshFamilies, ClusterSubVectors and the
-// streaming clusterer against its materialized oracle.
+// Tests for ReuseConfig, BlockLshFamilies and the streaming clusterer:
+// its clustering behaviour, and bitwise agreement with the materialized
+// reference (core/subvector_clustering_reference.h).
 //
 // This binary replaces the global operator new with a counting one, so
 // a test can assert that steady-state clustering cycles allocate nothing
@@ -16,6 +17,7 @@
 #include "core/reuse_config.h"
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
+#include "core/subvector_clustering_reference.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tests/clustering_harness.h"
@@ -146,6 +148,18 @@ TEST(BlockLshFamiliesTest, BlocksUseDistinctHyperplanes) {
                families->family(1).Hash(v.data()));
 }
 
+using testutil::ExpectSameClustering;
+using testutil::StreamClustering;
+
+// The production clusterer over a materialized matrix, in 7-row tiles so
+// most inputs below span several tiles.
+ReuseClustering Cluster(const BlockLshFamilies& families, const float* x,
+                        int64_t num_rows, int64_t rows_per_group) {
+  StreamingSubVectorClusterer clusterer;
+  return StreamClustering(families, x, num_rows, rows_per_group,
+                          /*tile_rows=*/7, &clusterer);
+}
+
 TEST(ClusterSubVectorsTest, DuplicateRowsShareClusters) {
   auto families = BlockLshFamilies::Create(6, 3, 12, 2);
   ASSERT_TRUE(families.ok());
@@ -155,8 +169,7 @@ TEST(ClusterSubVectorsTest, DuplicateRowsShareClusters) {
   for (int64_t i = 0; i < 4; ++i) {
     for (int64_t j = 0; j < 6; ++j) x.at(i, j) = base.at(0, j);
   }
-  const ReuseClustering result =
-      ClusterSubVectors(*families, x.data(), 4, 4);
+  const ReuseClustering result = Cluster(*families, x.data(), 4, 4);
   ASSERT_EQ(result.blocks.size(), 2u);
   for (const auto& block : result.blocks) {
     EXPECT_EQ(block.clustering.num_clusters(), 1);
@@ -176,8 +189,7 @@ TEST(ClusterSubVectorsTest, RandomRowsMostlySeparate) {
   ASSERT_TRUE(families.ok());
   Rng rng(3);
   Tensor x = Tensor::RandomGaussian(Shape({64, 16}), &rng);
-  const ReuseClustering result =
-      ClusterSubVectors(*families, x.data(), 64, 64);
+  const ReuseClustering result = Cluster(*families, x.data(), 64, 64);
   // 32 hyperplanes over random gaussian rows: collisions are rare.
   EXPECT_GT(result.blocks[0].clustering.num_clusters(), 55);
 }
@@ -189,8 +201,8 @@ TEST(ClusterSubVectorsTest, FewerHashesCoarserClustering) {
   auto coarse = BlockLshFamilies::Create(8, 8, 2, 5);
   ASSERT_TRUE(fine.ok());
   ASSERT_TRUE(coarse.ok());
-  const auto fine_result = ClusterSubVectors(*fine, x.data(), 128, 128);
-  const auto coarse_result = ClusterSubVectors(*coarse, x.data(), 128, 128);
+  const auto fine_result = Cluster(*fine, x.data(), 128, 128);
+  const auto coarse_result = Cluster(*coarse, x.data(), 128, 128);
   EXPECT_LT(coarse_result.TotalClusters(), fine_result.TotalClusters());
   // With H=2 there can be at most 4 signatures.
   EXPECT_LE(coarse_result.blocks[0].clustering.num_clusters(), 4);
@@ -208,7 +220,7 @@ TEST(ClusterSubVectorsTest, GroupsNeverShareClusters) {
     for (int64_t j = 0; j < 4; ++j) x.at(i, j) = row.at(j);
   }
   const ReuseClustering grouped =
-      ClusterSubVectors(*families, x.data(), 4, /*rows_per_group=*/2);
+      Cluster(*families, x.data(), 4, /*rows_per_group=*/2);
   const auto& c = grouped.blocks[0].clustering;
   EXPECT_EQ(c.num_clusters(), 2);
   EXPECT_EQ(c.assignment[0], c.assignment[1]);
@@ -221,8 +233,7 @@ TEST(ClusterSubVectorsTest, SignaturesAlignWithClusters) {
   ASSERT_TRUE(families.ok());
   Rng rng(6);
   Tensor x = Tensor::RandomGaussian(Shape({32, 8}), &rng);
-  const ReuseClustering result =
-      ClusterSubVectors(*families, x.data(), 32, 32);
+  const ReuseClustering result = Cluster(*families, x.data(), 32, 32);
   const auto& block = result.blocks[0];
   ASSERT_EQ(static_cast<int64_t>(block.signatures.size()),
             block.clustering.num_clusters());
@@ -239,15 +250,11 @@ TEST(ClusterSubVectorsTest, RemainingRatioBounds) {
   ASSERT_TRUE(families.ok());
   Rng rng(7);
   Tensor x = Tensor::RandomGaussian(Shape({100, 8}), &rng);
-  const ReuseClustering result =
-      ClusterSubVectors(*families, x.data(), 100, 100);
+  const ReuseClustering result = Cluster(*families, x.data(), 100, 100);
   const double rc = result.AverageRemainingRatio();
   EXPECT_GT(rc, 0.0);
   EXPECT_LE(rc, 1.0);
 }
-
-using testutil::ExpectSameClustering;
-using testutil::StreamClustering;
 
 // Rows in runs of 1-5 drawn from six prototype directions at positive
 // scales (one signature each), all-zero rows and fresh Gaussian rows:
@@ -299,8 +306,8 @@ TEST(StreamingClustererTest, MatchesOracleOnBothSidesOfIdentityKeyRule) {
     const Tensor x = RedundantRows(num_rows, k, 40 + c.num_hashes);
     auto families = BlockLshFamilies::Create(k, 10, c.num_hashes, 13);
     ASSERT_TRUE(families.ok());
-    const ReuseClustering oracle =
-        ClusterSubVectors(*families, x.data(), num_rows, c.rows_per_group);
+    const ReuseClustering oracle = ReferenceClusterSubVectors(
+        *families, x.data(), num_rows, c.rows_per_group);
     // 37-row tiles: group boundaries land mid-tile.
     ReuseClustering got = StreamClustering(
         *families, x.data(), num_rows, c.rows_per_group, 37, &reused);
@@ -322,8 +329,8 @@ TEST(StreamingClustererTest, SingleInputGroupsSplitMidTileAtConv1Shape) {
   auto families = BlockLshFamilies::Create(k, 10, 11, 21);
   ASSERT_TRUE(families.ok());
   const int64_t n = geo.unfolded_rows();
-  const ReuseClustering oracle =
-      ClusterSubVectors(*families, cols.data(), n, geo.rows_per_image());
+  const ReuseClustering oracle = ReferenceClusterSubVectors(
+      *families, cols.data(), n, geo.rows_per_image());
   StreamingSubVectorClusterer clusterer;
   const ReuseClustering got =
       StreamClustering(*families, cols.data(), n, geo.rows_per_image(),
