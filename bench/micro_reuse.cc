@@ -133,8 +133,8 @@ void BM_ClusterOnly(benchmark::State& state) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
   }
-  // One persistent clusterer, recycling each clustering as the layer does,
-  // in the forward's tile height.
+  // One persistent clusterer, as in the layer, fed tiles of the forward's
+  // height: each Begin reuses the last clustering's buffers.
   StreamingSubVectorClusterer clusterer;
   const int64_t tile_rows = L2TileRows(Workload::kK);
   for (auto _ : state) {
@@ -143,9 +143,7 @@ void BM_ClusterOnly(benchmark::State& state) {
       clusterer.ConsumeTile(wl.x.data() + row * Workload::kK, row,
                             std::min(tile_rows, Workload::kN - row));
     }
-    ReuseClustering clustering = clusterer.Finish();
-    benchmark::DoNotOptimize(clustering.blocks.data());
-    clusterer.Recycle(std::move(clustering));
+    benchmark::DoNotOptimize(clusterer.Finish().blocks.data());
   }
   state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK *
                           h);
@@ -399,13 +397,11 @@ void BM_FusedClusteredForward(benchmark::State& state) {
   for (auto _ : state) {
     arena.Reset();
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
-    ReuseClustering clustering;
     ForwardReuseStats stats;
     FusedClusteredForward(*families, wl.geo, wl.input.data(), wl.w,
                           nullptr, n, nullptr, &arena, &clusterer, y,
-                          &clustering, &stats);
+                          &stats);
     benchmark::DoNotOptimize(y);
-    clusterer.Recycle(std::move(clustering));
   }
   state.counters["peak_workspace_bytes"] =
       static_cast<double>(arena.reserved_bytes());

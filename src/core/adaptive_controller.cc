@@ -50,7 +50,7 @@ Status AdaptiveController::Init() {
     params.in_channels = layer->config().in_channels;
     params.k = layer->unfolded_cols();
     params.m = layer->config().out_channels;
-    params.n = layer->Geometry(batch_size_).unfolded_rows();
+    params.n = layer->config().Geometry(batch_size_).unfolded_rows();
     params.is_first_layer = i == 0;
     ADR_ASSIGN_OR_RETURN(layers_[i].candidates, BuildCandidateList(params));
     ADR_CHECK(!layers_[i].candidates.empty());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "clustering/kmeans.h"
 #include "tensor/gemm.h"
@@ -175,23 +176,21 @@ void PublishCoreForwardMetrics(const ForwardReuseStats& stats) {
 // The one LSH forward: streams the num_rows unfolded rows through
 // `clusterer` in L2TileRows(k)-row tiles, where `tile_at(row, rows)`
 // returns rows [row, row + rows) at stride k, then runs the shared back
-// half. Its callers differ only in where a tile comes from.
+// half and returns the clusterer's clustering. Its callers differ only in
+// where a tile comes from.
 template <typename TileSource>
-void StreamClusteredForward(const BlockLshFamilies& families,
-                            int64_t num_rows, const Tensor& weight,
-                            const Tensor* bias, int64_t rows_per_group,
-                            ClusterReuseCache* cache,
-                            ScratchAllocator* scratch,
-                            StreamingSubVectorClusterer* clusterer,
-                            TileSource tile_at, float* y,
-                            ReuseClustering* clustering,
-                            ForwardReuseStats* stats) {
+ReuseClustering& StreamClusteredForward(
+    const BlockLshFamilies& families, int64_t num_rows, const Tensor& weight,
+    const Tensor* bias, int64_t rows_per_group, ClusterReuseCache* cache,
+    ScratchAllocator* scratch, StreamingSubVectorClusterer* clusterer,
+    TileSource tile_at, float* y, ForwardReuseStats* stats) {
   const int64_t k = families.k();
   ADR_CHECK_EQ(weight.shape().rank(), 2);
   ADR_CHECK_EQ(weight.shape()[0], k);
   Timer timer;
 
   // 1. Hash and cluster tile by tile (hashing + grouping + centroids).
+  ReuseClustering* clustering;
   {
     ADR_TRACE_SPAN("fused_tile_cluster");
     clusterer->Begin(&families, num_rows, rows_per_group);
@@ -200,7 +199,7 @@ void StreamClusteredForward(const BlockLshFamilies& families,
       const int64_t rows = std::min(tile_rows, num_rows - row);
       clusterer->ConsumeTile(tile_at(row, rows), row, rows);
     }
-    *clustering = clusterer->Finish();
+    clustering = &clusterer->Finish();
   }
   stats->hash_seconds = timer.ElapsedSeconds();
 
@@ -211,6 +210,7 @@ void StreamClusteredForward(const BlockLshFamilies& families,
                               stats);
   stats->gemm_seconds = timer.ElapsedSeconds();
   PublishCoreForwardMetrics(*stats);
+  return *clustering;
 }
 
 }  // namespace
@@ -227,11 +227,12 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
   result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
   ScratchAllocator scratch(/*arena=*/nullptr);
   StreamingSubVectorClusterer clusterer;
-  // Tiles are read in place from x.
-  StreamClusteredForward(
+  // Tiles are read in place from x; the clustering moves out of the local
+  // clusterer.
+  result.clustering = std::move(StreamClusteredForward(
       families, num_rows, weight, bias, rows_per_group, cache, &scratch,
       &clusterer, [x, k](int64_t row, int64_t) { return x + row * k; },
-      result.y_rows.data(), &result.clustering, &result.stats);
+      result.y_rows.data(), &result.stats));
   return result;
 }
 
@@ -241,7 +242,6 @@ void FusedClusteredForward(const BlockLshFamilies& families,
                            int64_t rows_per_group, ClusterReuseCache* cache,
                            WorkspaceArena* arena,
                            StreamingSubVectorClusterer* clusterer, float* y,
-                           ReuseClustering* clustering,
                            ForwardReuseStats* stats) {
   const int64_t k = geo.unfolded_cols();
   ADR_CHECK_EQ(k, families.k());
@@ -262,7 +262,7 @@ void FusedClusteredForward(const BlockLshFamilies& families,
   };
   StreamClusteredForward(families, geo.unfolded_rows(), weight, bias,
                          rows_per_group, cache, &scratch, clusterer,
-                         im2col_tile, y, clustering, stats);
+                         im2col_tile, y, stats);
   MetricsRegistry::Global().counter("core/fused_forwards")->Increment();
 }
 
@@ -313,8 +313,10 @@ ForwardReuseResult KMeansMatmulForward(
     }
     // Recompute centroids over the merged assignment from the raw data
     // (k-means already converged, but this keeps one code path).
-    block.centroids = ComputeCentroids(x + offset, num_rows, block.length,
-                                       k, merged);
+    const Tensor centroids =
+        ComputeCentroids(x + offset, num_rows, block.length, k, merged);
+    block.centroids.assign(centroids.data(),
+                           centroids.data() + centroids.num_elements());
     block.reused_from_cache.assign(
         static_cast<size_t>(merged.num_clusters()), false);
     result.clustering.blocks.push_back(std::move(block));

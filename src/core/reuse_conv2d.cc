@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/complexity_model.h"
 #include "core/reuse_backward.h"
-#include "tensor/gemm.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/metrics_registry.h"
 #include "util/timer.h"
@@ -73,23 +72,10 @@ Status ReuseConv2d::SetReuseConfig(const ReuseConfig& reuse) {
   return Status::OK();
 }
 
-ConvGeometry ReuseConv2d::Geometry(int64_t batch) const {
-  ConvGeometry geo;
-  geo.batch = batch;
-  geo.in_channels = config_.in_channels;
-  geo.in_height = config_.in_height;
-  geo.in_width = config_.in_width;
-  geo.kernel_h = config_.kernel;
-  geo.kernel_w = config_.kernel;
-  geo.stride = config_.stride;
-  geo.pad = config_.pad;
-  return geo;
-}
-
 Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   ADR_TRACE_SPAN("ReuseConv2d::Forward");
   const int64_t batch = input.shape()[0];
-  const ConvGeometry geo = Geometry(batch);
+  const ConvGeometry geo = config_.Geometry(batch);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   const int64_t m = config_.out_channels;
@@ -98,22 +84,17 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   // handed out since the previous Reset() is invalidated here.
   arena_.Reset();
   cached_cols_data_ = nullptr;
-  // Donate last step's clustering buffers before this step builds new
-  // ones — at fixed shapes the capacity round-trips and no allocation
-  // happens.
-  clusterer_.Recycle(std::move(cached_clustering_));
-  cached_clustering_ = ReuseClustering{};
+  backward_clustering_ = nullptr;
   // Eval mode caches nothing: Backward requires a training Forward.
   cached_batch_ = training ? batch : 0;
 
   if (!reuse_.enabled) {
-    // Dense path: identical to Conv2d. The unfolded input is kept for the
-    // exact backward only while training.
-    float* cols = Im2ColIntoArena(geo, input);
-    float* y = arena_.AllocFloats(n * m);
-    Gemm(cols, weight_.data(), y, n, k, m);
-    AddRowBias(bias_.data(), y, n, m);
-    if (training) cached_cols_data_ = cols;
+    // Dense path: Conv2d's exact convolution. The unfolded input is kept
+    // for the exact backward only while training.
+    if (training) cached_cols_data_ = arena_.AllocFloats(n * k);
+    Tensor out =
+        ExactConvForward(geo, input, weight_, bias_, cached_cols_data_,
+                         arena_.AllocFloats(n * m), &arena_);
     ++stats_.forward_calls;
     stats_.macs_executed += static_cast<double>(n) * k * m;
     stats_.macs_baseline += static_cast<double>(n) * k * m;
@@ -121,15 +102,12 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     metrics.counter(metric_prefix_ + "forward_calls")->Increment();
     metrics.gauge(metric_prefix_ + "enabled")->Set(0.0);
     PublishWorkspaceMetrics();
-    Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-    RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
     return out;
   }
 
   const int64_t rows_per_group = reuse_.scope == ClusterScope::kSingleInput
                                      ? geo.rows_per_image()
                                      : n;
-  ReuseClustering clustering;
   ForwardReuseStats fs;
   float* y = arena_.AllocFloats(n * m);
 
@@ -141,26 +119,25 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
         cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
         rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
         reuse_.seed);
-    clustering = std::move(forward.clustering);
     fs = forward.stats;
     std::copy_n(forward.y_rows.data(), n * m, y);
-    if (training && exact_backward_) cached_cols_data_ = cols;
+    if (training) {
+      kmeans_clustering_ = std::move(forward.clustering);
+      backward_clustering_ = &kmeans_clustering_;
+      if (exact_backward_) cached_cols_data_ = cols;
+    }
   } else {
     // Fused tiled path: im2col rows stream straight from the NCHW input
     // into the hash pipeline; the N x K matrix never exists. The
+    // clustering stays in clusterer_ until the next Forward. The
     // exact-backward ablation alone keeps an unfolded copy for Backward.
     FusedClusteredForward(families_, geo, input.data(), weight_, &bias_,
                           rows_per_group, cache_.get(), &arena_,
-                          &clusterer_, y, &clustering, &fs);
-    if (training && exact_backward_) {
-      cached_cols_data_ = Im2ColIntoArena(geo, input);
+                          &clusterer_, y, &fs);
+    if (training) {
+      backward_clustering_ = &clusterer_.clustering();
+      if (exact_backward_) cached_cols_data_ = Im2ColIntoArena(geo, input);
     }
-  }
-
-  if (training) {
-    cached_clustering_ = std::move(clustering);
-  } else {
-    clusterer_.Recycle(std::move(clustering));
   }
 
   // Telemetry (running mean of r_c; cumulative times and MACs).
@@ -285,28 +262,20 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
   ADR_TRACE_SPAN("ReuseConv2d::Backward");
   ADR_CHECK_GT(cached_batch_, 0)
       << "Backward requires a preceding training-mode Forward";
-  const ConvGeometry geo = Geometry(cached_batch_);
+  const ConvGeometry geo = config_.Geometry(cached_batch_);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   const int64_t m = config_.out_channels;
 
-  ADR_CHECK(grad_output.shape() == Shape({cached_batch_, m,
-                                          geo.out_height(),
-                                          geo.out_width()}));
-  float* dy = arena_.AllocFloats(n * m);
-  NchwToRows(grad_output, dy);
-  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
-                           config_.in_height, config_.in_width}));
-
   if (exact_backward_ || !reuse_.enabled) {
-    // Ablation path: exact gradients from the cached unfolded input.
-    Timer timer;
+    // Ablation path: Conv2d's exact gradients from the cached unfolded
+    // input.
     ADR_CHECK(cached_cols_data_ != nullptr)
         << "exact_backward requires the unfolded input cached in Forward";
-    GemmTransA(cached_cols_data_, dy, grad_weight_.data(), k, n, m);
-    ColumnSumsInto(dy, n, m, grad_bias_.data());
-    float* dx_cols = arena_.AllocFloats(n * k);
-    GemmTransB(dy, weight_.data(), dx_cols, n, m, k);
+    Timer timer;
+    Tensor grad_input =
+        ExactConvBackward(geo, cached_cols_data_, weight_, grad_output,
+                          &arena_, &grad_weight_, &grad_bias_);
     const double seconds = timer.ElapsedSeconds();
     stats_.backward_seconds += seconds;
     stats_.macs_executed += 2.0 * static_cast<double>(n) * k * m;
@@ -314,28 +283,37 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     MetricsRegistry::Global()
         .histogram(metric_prefix_ + "backward_seconds")
         ->Record(seconds);
-    Col2Im(geo, dx_cols, grad_input.data());
-  } else {
-    // The centroid deltas fold straight into grad_input; the N x K input
-    // delta never exists.
-    BackwardReuseStats bstats;
-    ReuseBackwardFoldInto(cached_clustering_, weight_, dy, geo, &arena_,
-                          grad_weight_.data(), grad_bias_.data(),
-                          grad_input.data(), &bstats);
-    stats_.backward_seconds += bstats.seconds;
-    stats_.macs_executed += bstats.macs;
-    stats_.macs_baseline += bstats.macs_baseline;
-    MetricsRegistry::Global()
-        .histogram(metric_prefix_ + "backward_seconds")
-        ->Record(bstats.seconds);
+    PublishWorkspaceMetrics();
+    return grad_input;
   }
 
+  // The centroid deltas fold straight into grad_input; the N x K input
+  // delta never exists.
+  ADR_CHECK(backward_clustering_ != nullptr)
+      << "the reuse backward requires the clustering of a training Forward";
+  ADR_CHECK(grad_output.shape() == Shape({cached_batch_, m,
+                                          geo.out_height(),
+                                          geo.out_width()}));
+  float* dy = arena_.AllocFloats(n * m);
+  NchwToRows(grad_output, dy);
+  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
+                           config_.in_height, config_.in_width}));
+  BackwardReuseStats bstats;
+  ReuseBackwardFoldInto(*backward_clustering_, weight_, dy, geo, &arena_,
+                        grad_weight_.data(), grad_bias_.data(),
+                        grad_input.data(), &bstats);
+  stats_.backward_seconds += bstats.seconds;
+  stats_.macs_executed += bstats.macs;
+  stats_.macs_baseline += bstats.macs_baseline;
+  MetricsRegistry::Global()
+      .histogram(metric_prefix_ + "backward_seconds")
+      ->Record(bstats.seconds);
   PublishWorkspaceMetrics();
   return grad_input;
 }
 
 double ReuseConv2d::ForwardMacs(int64_t batch) const {
-  const ConvGeometry geo = Geometry(batch);
+  const ConvGeometry geo = config_.Geometry(batch);
   return static_cast<double>(geo.unfolded_rows()) * geo.unfolded_cols() *
          config_.out_channels;
 }

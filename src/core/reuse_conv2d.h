@@ -53,7 +53,6 @@ class ReuseConv2d : public Layer {
   bool exact_backward() const { return exact_backward_; }
 
   const Conv2dConfig& config() const { return config_; }
-  ConvGeometry Geometry(int64_t batch) const;
   int64_t unfolded_cols() const {
     return config_.in_channels * config_.kernel * config_.kernel;
   }
@@ -104,8 +103,8 @@ class ReuseConv2d : public Layer {
 
   /// Step-scoped scratch; Reset() at the top of every Forward.
   WorkspaceArena arena_;
-  /// Persistent streaming clusterer of the fused path (its tables and the
-  /// clustering buffers recycled through it survive across steps).
+  /// Persistent streaming clusterer of the fused path; its tables and the
+  /// clustering it builds in place survive across steps.
   StreamingSubVectorClusterer clusterer_;
   /// alloc_slabs() value already published, for per-step deltas.
   int64_t published_alloc_slabs_ = 0;
@@ -117,7 +116,11 @@ class ReuseConv2d : public Layer {
   ClusterReuseCache::Stats published_cache_;
 
   // State cached between Forward and Backward (training mode only).
-  ReuseClustering cached_clustering_;
+  /// The clustering the reuse backward reads: &clusterer_.clustering()
+  /// for LSH, &kmeans_clustering_ for k-means; null after an eval Forward.
+  const ReuseClustering* backward_clustering_ = nullptr;
+  /// The k-means ablation's last training clustering.
+  ReuseClustering kmeans_clustering_;
   /// Arena-owned [N, K] unfolded input, valid until the next Reset();
   /// non-null only when the exact backward needs it.
   float* cached_cols_data_ = nullptr;

@@ -87,18 +87,26 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
       num_hashes < 62 && (size_t{1} << num_hashes) <= capacity;
   if (identity_keys_) capacity = size_t{1} << num_hashes;
   table_mask_ = capacity - 1;
-  blocks_.resize(static_cast<size_t>(families->num_blocks()));
-  for (BlockState& bs : blocks_) {
+  const size_t num_blocks = static_cast<size_t>(families->num_blocks());
+  blocks_.resize(num_blocks);
+  result_.num_rows = num_rows;
+  result_.num_cols = families->k();
+  result_.blocks.resize(num_blocks);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    BlockState& bs = blocks_[b];
     if (bs.slot_id.size() == capacity) {
       ResetGroup(&bs);  // leftovers of the previous cycle's last group
     } else {
       bs.slot_id.assign(capacity, -1);
       bs.used_slots.clear();
     }
-    bs.centroids.clear();
-    bs.sizes.clear();
-    bs.sigs.clear();
-    bs.assignment.resize(static_cast<size_t>(num_rows));
+    SubMatrixClustering& out = result_.blocks[b];
+    out.col_offset = families->block_offset(static_cast<int64_t>(b));
+    out.length = families->block_length(static_cast<int64_t>(b));
+    out.centroids.clear();
+    out.clustering.cluster_sizes.clear();
+    out.clustering.assignment.resize(static_cast<size_t>(num_rows));
+    out.signatures.clear();
   }
 }
 
@@ -113,8 +121,11 @@ void StreamingSubVectorClusterer::ClusterBlockTile(
     const simd::Kernels& kernels, int64_t block, const float* tile,
     int64_t row_begin, int64_t tile_rows) {
   BlockState& bs = blocks_[static_cast<size_t>(block)];
+  SubMatrixClustering& out = result_.blocks[static_cast<size_t>(block)];
+  std::vector<int64_t>& sizes = out.clustering.cluster_sizes;
+  std::vector<LshSignature>& sigs = out.signatures;
   const LshSignature* tile_sigs = bs.tile_sigs.data();
-  int32_t* ids = bs.assignment.data() + row_begin;
+  int32_t* ids = out.clustering.assignment.data() + row_begin;
   // Id assignment in ascending global row order replays
   // ClusterBySignature's first-seen order. The table empties at every
   // group boundary, so rows run in segments between boundaries.
@@ -133,28 +144,26 @@ void StreamingSubVectorClusterer::ClusterBlockTile(
                     table_mask_;
       int32_t id;
       while ((id = bs.slot_id[slot]) >= 0 &&
-             !(bs.sigs[static_cast<size_t>(id)] == sig)) {
+             !(sigs[static_cast<size_t>(id)] == sig)) {
         slot = (slot + 1) & table_mask_;
       }
       if (id < 0) {
-        id = static_cast<int32_t>(bs.sizes.size());
+        id = static_cast<int32_t>(sizes.size());
         bs.slot_id[slot] = id;
         bs.used_slots.push_back(static_cast<int32_t>(slot));
-        bs.sizes.push_back(0);
-        bs.sigs.push_back(sig);
+        sizes.push_back(0);
+        sigs.push_back(sig);
       }
       ids[i] = id;
-      ++bs.sizes[static_cast<size_t>(id)];
+      ++sizes[static_cast<size_t>(id)];
     }
   }
   // The centroid sums accumulate in ComputeCentroids' row order with the
   // same single-rounding adds, so they are bit-identical to the
   // materialized reference.
-  const int64_t length = families_->block_length(block);
-  bs.centroids.resize(bs.sizes.size() * static_cast<size_t>(length), 0.0f);
-  kernels.scatter_add_rows(tile + families_->block_offset(block),
-                           families_->k(), tile_rows, ids,
-                           bs.centroids.data(), length);
+  out.centroids.resize(sizes.size() * static_cast<size_t>(out.length), 0.0f);
+  kernels.scatter_add_rows(tile + out.col_offset, families_->k(), tile_rows,
+                           ids, out.centroids.data(), out.length);
 }
 
 void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
@@ -197,56 +206,22 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
   next_row_ += tile_rows;
 }
 
-ReuseClustering StreamingSubVectorClusterer::Finish() {
+ReuseClustering& StreamingSubVectorClusterer::Finish() {
   ADR_CHECK_EQ(next_row_, num_rows_) << "tiles did not cover all rows";
   const simd::Kernels& kernels = simd::Active();
-  ReuseClustering result;
-  result.num_rows = num_rows_;
-  result.num_cols = families_->k();
-  result.blocks = std::move(blocks_pool_);
-  result.blocks.resize(blocks_.size());
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    BlockState& bs = blocks_[b];
-    SubMatrixClustering& out = result.blocks[b];
-    out.col_offset = families_->block_offset(static_cast<int64_t>(b));
-    out.length = families_->block_length(static_cast<int64_t>(b));
-    const int64_t num_clusters = static_cast<int64_t>(bs.sizes.size());
-    float* c = bs.centroids.data();
+  for (SubMatrixClustering& out : result_.blocks) {
+    const std::vector<int64_t>& sizes = out.clustering.cluster_sizes;
+    const int64_t num_clusters = out.clustering.num_clusters();
+    float* c = out.centroids.data();
     for (int64_t cl = 0; cl < num_clusters; ++cl) {
-      const int64_t size = bs.sizes[static_cast<size_t>(cl)];
+      const int64_t size = sizes[static_cast<size_t>(cl)];
       ADR_CHECK_GT(size, 0) << "empty cluster " << cl;
       kernels.scale(1.0f / static_cast<float>(size), c + cl * out.length,
                     out.length);
     }
-    // The sums go out as the centroid tensor; its previous storage comes
-    // back into bs.centroids and returns to the tensor at Recycle.
-    out.centroids.SwapData({num_clusters, out.length}, &bs.centroids);
-    out.clustering.cluster_sizes = std::move(bs.sizes);
-    out.clustering.assignment = std::move(bs.assignment);
-    out.signatures = std::move(bs.sigs);
-    out.reused_from_cache = std::move(bs.reused_pool);
     out.reused_from_cache.assign(static_cast<size_t>(num_clusters), false);
   }
-  return result;
-}
-
-void StreamingSubVectorClusterer::Recycle(ReuseClustering&& old) {
-  if (blocks_.size() < old.blocks.size()) blocks_.resize(old.blocks.size());
-  for (size_t b = 0; b < old.blocks.size(); ++b) {
-    BlockState& bs = blocks_[b];
-    SubMatrixClustering& ob = old.blocks[b];
-    // Swap the centroid buffer back for the one-float placeholder Finish
-    // left in bs.centroids; the pooled tensor keeps it as a scalar.
-    bs.centroids.resize(1);
-    ob.centroids.SwapData({}, &bs.centroids);
-    bs.sizes = std::move(ob.clustering.cluster_sizes);
-    bs.sigs = std::move(ob.signatures);
-    bs.assignment = std::move(ob.clustering.assignment);
-    bs.reused_pool = std::move(ob.reused_from_cache);
-  }
-  // An empty donation (a Forward that kept no clustering) must not
-  // discard the pool an earlier Recycle filled.
-  if (!old.blocks.empty()) blocks_pool_ = std::move(old.blocks);
+  return result_;
 }
 
 }  // namespace adr

@@ -13,7 +13,6 @@
 #include "clustering/lsh.h"
 #include "core/reuse_config.h"
 #include "tensor/simd.h"
-#include "tensor/tensor.h"
 #include "util/result.h"
 
 namespace adr {
@@ -25,9 +24,9 @@ struct SubMatrixClustering {
   Clustering clustering;
   /// LSH signature per cluster (the cross-batch cluster ID).
   std::vector<LshSignature> signatures;
-  /// Centroid matrix x_c^(I), |C_I| x L_I. For clusters reused from the
-  /// cross-batch cache this row holds the cached representative.
-  Tensor centroids;
+  /// Centroid matrix x_c^(I), |C_I| x L_I row-major. For clusters reused
+  /// from the cross-batch cache this row holds the cached representative.
+  std::vector<float> centroids;
   /// reused_from_cache[c] is true when cluster c's output came from the
   /// cluster-reuse cache (Algorithm 1) rather than a fresh GEMM.
   std::vector<bool> reused_from_cache;
@@ -105,10 +104,10 @@ class BlockLshFamilies {
 /// as a ParallelFor over blocks; the result does not depend on the
 /// thread count.
 ///
-/// All buffers persist across Begin/Finish cycles; pair Finish with a
-/// later Recycle() of the returned ReuseClustering so steady-state
-/// training and inference at fixed shapes perform zero heap allocations
-/// here.
+/// The clusterer builds its result in place and owns it: the clustering
+/// Finish returns stays valid until the next Begin, which reuses its
+/// buffers, so steady-state training and inference at fixed shapes
+/// perform zero heap allocations here.
 class StreamingSubVectorClusterer {
  public:
   /// \brief Starts a clustering of `num_rows` width-k rows. `families`
@@ -128,13 +127,12 @@ class StreamingSubVectorClusterer {
   /// tile_rows x k row-major.
   void ConsumeTile(const float* tile, int64_t row_begin, int64_t tile_rows);
 
-  /// \brief Finalizes centroids and returns the clustering; the clusterer
-  /// keeps its table capacity for the next Begin.
-  ReuseClustering Finish();
+  /// \brief Finalizes centroids and returns the clustering, valid until
+  /// the next Begin.
+  ReuseClustering& Finish();
 
-  /// \brief Donates a no-longer-needed clustering (typically last step's)
-  /// so its buffers, block vector included, serve the next cycle.
-  void Recycle(ReuseClustering&& old);
+  /// \brief The last finished clustering, valid until the next Begin.
+  const ReuseClustering& clustering() const { return result_; }
 
   /// \brief True when the current cycle's tables are indexed by the
   /// signature itself (set by Begin).
@@ -149,13 +147,6 @@ class StreamingSubVectorClusterer {
     // Slots filled in the current group: the next group reset (or the
     // next Begin) empties exactly these.
     std::vector<int32_t> used_slots;
-    // Growing per-cluster state, moved into the result at Finish.
-    std::vector<float> centroids;  // |C| x length running sums
-    std::vector<int64_t> sizes;
-    std::vector<LshSignature> sigs;
-    std::vector<int32_t> assignment;
-    // Recycled reused_from_cache capacity (see Recycle).
-    std::vector<bool> reused_pool;
     // Per-tile signature buffer.
     std::vector<LshSignature> tile_sigs;
   };
@@ -164,7 +155,7 @@ class StreamingSubVectorClusterer {
   static void ResetGroup(BlockState* bs);
 
   // Assigns ids to one block's tile rows, then accumulates the rows into
-  // their centroid sums.
+  // their centroid sums in result_.blocks[block].
   void ClusterBlockTile(const simd::Kernels& kernels, int64_t block,
                         const float* tile, int64_t row_begin,
                         int64_t tile_rows);
@@ -176,9 +167,9 @@ class StreamingSubVectorClusterer {
   size_t table_mask_ = 0;
   bool identity_keys_ = false;
   std::vector<BlockState> blocks_;
-  // Recycled result blocks: their tensors and vectors carry capacity into
-  // the next Finish.
-  std::vector<SubMatrixClustering> blocks_pool_;
+  // Built in place: cluster sizes, signatures, assignments and centroid
+  // sums accumulate here, and their capacity carries into the next cycle.
+  ReuseClustering result_;
 };
 
 }  // namespace adr

@@ -72,8 +72,10 @@ inline ReuseClustering ReferenceClusterSubVectors(
                               group_cluster_sigs.end());
     }
 
-    block.centroids = ComputeCentroids(x + block.col_offset, num_rows,
-                                       block.length, k, merged);
+    const Tensor centroids = ComputeCentroids(x + block.col_offset, num_rows,
+                                              block.length, k, merged);
+    block.centroids.assign(centroids.data(),
+                           centroids.data() + centroids.num_elements());
     block.reused_from_cache.assign(
         static_cast<size_t>(merged.num_clusters()), false);
   }

@@ -52,6 +52,76 @@ void NchwToRows(const Tensor& nchw, float* out) {
   }
 }
 
+ConvGeometry Conv2dConfig::Geometry(int64_t batch) const {
+  ConvGeometry geo;
+  geo.batch = batch;
+  geo.in_channels = in_channels;
+  geo.in_height = in_height;
+  geo.in_width = in_width;
+  geo.kernel_h = kernel;
+  geo.kernel_w = kernel;
+  geo.stride = stride;
+  geo.pad = pad;
+  return geo;
+}
+
+Tensor ExactConvForward(const ConvGeometry& geo, const Tensor& input,
+                        const Tensor& weight, const Tensor& bias, float* cols,
+                        float* y, WorkspaceArena* arena) {
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  const int64_t m = weight.shape()[1];
+  ADR_CHECK(input.shape() ==
+            Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}))
+      << "conv input shape " << input.shape().ToString();
+
+  if (cols != nullptr) {
+    Im2Col(geo, input.data(), cols);
+    Gemm(cols, weight.data(), y, n, k, m);
+  } else {
+    const int64_t tile_rows = L2TileRows(k);
+    float* tile = arena->AllocFloats(tile_rows * k);
+    for (int64_t row = 0; row < n; row += tile_rows) {
+      const int64_t rows = std::min<int64_t>(tile_rows, n - row);
+      ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
+        Im2ColRows(geo, input.data(), row + begin, row + end,
+                   tile + begin * k);
+      });
+      Gemm(tile, weight.data(), y + row * m, rows, k, m);
+    }
+  }
+
+  AddRowBias(bias.data(), y, n, m);
+  Tensor out(Shape({geo.batch, m, geo.out_height(), geo.out_width()}));
+  RowsToNchw(y, geo.batch, m, geo.out_height(), geo.out_width(), out.data());
+  return out;
+}
+
+Tensor ExactConvBackward(const ConvGeometry& geo, const float* cols,
+                         const Tensor& weight, const Tensor& grad_output,
+                         WorkspaceArena* arena, Tensor* grad_weight,
+                         Tensor* grad_bias) {
+  const int64_t n = geo.unfolded_rows();
+  const int64_t k = geo.unfolded_cols();
+  const int64_t m = weight.shape()[1];
+  ADR_CHECK(grad_output.shape() ==
+            Shape({geo.batch, m, geo.out_height(), geo.out_width()}));
+  float* dy = arena->AllocFloats(n * m);  // [N, M]
+  NchwToRows(grad_output, dy);
+
+  // dW = x^T * dy  (Eq. 2); db = column sums of dy.
+  GemmTransA(cols, dy, grad_weight->data(), k, n, m);
+  ColumnSumsInto(dy, n, m, grad_bias->data());
+
+  // dx_cols = dy * W^T  (Eq. 3), folded back through col2im.
+  float* dx_cols = arena->AllocFloats(n * k);
+  GemmTransB(dy, weight.data(), dx_cols, n, m, k);
+  Tensor grad_input(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}));
+  Col2Im(geo, dx_cols, grad_input.data());
+  return grad_input;
+}
+
 Conv2d::Conv2d(std::string name, const Conv2dConfig& config, Rng* rng)
     : name_(std::move(name)), config_(config) {
   const int64_t k =
@@ -67,92 +137,39 @@ Conv2d::Conv2d(std::string name, const Conv2dConfig& config, Rng* rng)
   grad_bias_ = Tensor(Shape({m}));
 }
 
-ConvGeometry Conv2d::Geometry(int64_t batch) const {
-  ConvGeometry geo;
-  geo.batch = batch;
-  geo.in_channels = config_.in_channels;
-  geo.in_height = config_.in_height;
-  geo.in_width = config_.in_width;
-  geo.kernel_h = config_.kernel;
-  geo.kernel_w = config_.kernel;
-  geo.stride = config_.stride;
-  geo.pad = config_.pad;
-  return geo;
-}
-
 Tensor Conv2d::Forward(const Tensor& input, bool training) {
   const int64_t batch = input.shape()[0];
-  const ConvGeometry geo = Geometry(batch);
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  const int64_t m = config_.out_channels;
-
+  const ConvGeometry geo = config_.Geometry(batch);
   arena_.Reset();
-  float* y = arena_.AllocFloats(n * m);
-
-  if (training) {
-    // Keep the full unfolded input for Backward. The tensor persists
-    // across steps, so at fixed shapes it is allocated once.
-    if (!(cached_cols_.shape() == Shape({n, k}))) {
-      cached_cols_ = Tensor(Shape({n, k}));
-    }
-    Im2Col(geo, input, &cached_cols_);
-    cached_batch_ = batch;
-    Gemm(cached_cols_.data(), weight_.data(), y, n, k, m);
-  } else {
-    // Inference needs no backward state: stream L2-sized row tiles
-    // through im2col + GEMM instead of materializing N x K. Rows are
-    // independent in both, so the output is bit-identical to the
-    // materialized path.
+  // y comes from the arena before cached_cols_ is (re)allocated: in the
+  // other order glibc's adaptive mmap threshold left the train_dense
+  // workload's peak RSS one conv2 N x K matrix (13 MB) higher.
+  float* y = arena_.AllocFloats(geo.unfolded_rows() * config_.out_channels);
+  if (!training) {
+    // Inference needs no backward state: ExactConvForward streams tiles.
     cached_cols_ = Tensor();
     cached_batch_ = 0;
-    const int64_t tile_rows = L2TileRows(k);
-    float* tile = arena_.AllocFloats(tile_rows * k);
-    for (int64_t row = 0; row < n; row += tile_rows) {
-      const int64_t rows = std::min<int64_t>(tile_rows, n - row);
-      ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
-        Im2ColRows(geo, input.data(), row + begin, row + end,
-                   tile + begin * k);
-      });
-      Gemm(tile, weight_.data(), y + row * m, rows, k, m);
-    }
+    return ExactConvForward(geo, input, weight_, bias_, nullptr, y, &arena_);
   }
-
-  AddRowBias(bias_.data(), y, n, m);
-  Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-  RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
-  return out;
+  // Keep the full unfolded input for Backward. The tensor persists across
+  // steps, so at fixed shapes it is allocated once.
+  const Shape cols_shape({geo.unfolded_rows(), geo.unfolded_cols()});
+  if (!(cached_cols_.shape() == cols_shape)) cached_cols_ = Tensor(cols_shape);
+  cached_batch_ = batch;
+  return ExactConvForward(geo, input, weight_, bias_, cached_cols_.data(), y,
+                          &arena_);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   ADR_CHECK_GT(cached_batch_, 0)
       << "Backward requires a preceding training-mode Forward";
-  const ConvGeometry geo = Geometry(cached_batch_);
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  const int64_t m = config_.out_channels;
-
-  ADR_CHECK(grad_output.shape() == Shape({cached_batch_, m,
-                                          geo.out_height(),
-                                          geo.out_width()}));
-  float* dy = arena_.AllocFloats(n * m);  // [N, M]
-  NchwToRows(grad_output, dy);
-
-  // dW = x^T * dy  (Eq. 2); db = column sums of dy.
-  GemmTransA(cached_cols_.data(), dy, grad_weight_.data(), k, n, m);
-  ColumnSumsInto(dy, n, m, grad_bias_.data());
-
-  // dx_cols = dy * W^T  (Eq. 3), folded back through col2im.
-  float* dx_cols = arena_.AllocFloats(n * k);
-  GemmTransB(dy, weight_.data(), dx_cols, n, m, k);
-  Tensor grad_input(Shape(
-      {cached_batch_, config_.in_channels, config_.in_height, config_.in_width}));
-  Col2Im(geo, dx_cols, grad_input.data());
-  return grad_input;
+  return ExactConvBackward(config_.Geometry(cached_batch_),
+                           cached_cols_.data(), weight_, grad_output, &arena_,
+                           &grad_weight_, &grad_bias_);
 }
 
 double Conv2d::ForwardMacs(int64_t batch) const {
-  const ConvGeometry geo = Geometry(batch);
+  const ConvGeometry geo = config_.Geometry(batch);
   return static_cast<double>(geo.unfolded_rows()) * geo.unfolded_cols() *
          config_.out_channels;
 }

@@ -25,6 +25,9 @@ struct Conv2dConfig {
   int64_t pad = 0;
   int64_t in_height = 0;  ///< expected input spatial size
   int64_t in_width = 0;
+
+  /// \brief Geometry for the given batch size.
+  ConvGeometry Geometry(int64_t batch) const;
 };
 
 /// \brief Converts GEMM-output rows [N, M] (row order n, oy, ox) to a
@@ -43,6 +46,27 @@ Tensor NchwToRows(const Tensor& nchw);
 /// \brief NchwToRows into a caller-owned [N, M] buffer (fully overwritten).
 void NchwToRows(const Tensor& nchw, float* out);
 
+/// \brief The exact im2col + GEMM convolution forward: writes the output
+/// rows y = unfold(input) * weight + bias into `y` (N x M, overwritten)
+/// and returns them as [batch, M, Oh, Ow].
+///
+/// When `cols` is non-null, all N x K unfolded rows are written there for
+/// ExactConvBackward; otherwise L2TileRows-sized tiles stream through
+/// `arena` scratch and the N x K matrix never exists. Rows are independent
+/// in both im2col and the GEMM, so the two give the same bits.
+Tensor ExactConvForward(const ConvGeometry& geo, const Tensor& input,
+                        const Tensor& weight, const Tensor& bias, float* cols,
+                        float* y, WorkspaceArena* arena);
+
+/// \brief The exact backward from the unfolded input `cols` (N x K) that
+/// ExactConvForward filled: overwrites `grad_weight` = cols^T * dy
+/// (Eq. 2) and `grad_bias` = column sums of dy, and returns the NCHW input
+/// gradient, col2im(dy * weight^T) (Eq. 3). Scratch comes from `arena`.
+Tensor ExactConvBackward(const ConvGeometry& geo, const float* cols,
+                         const Tensor& weight, const Tensor& grad_output,
+                         WorkspaceArena* arena, Tensor* grad_weight,
+                         Tensor* grad_bias);
+
 /// \brief Standard convolution layer.
 class Conv2d : public Layer {
  public:
@@ -58,8 +82,6 @@ class Conv2d : public Layer {
   double ForwardMacs(int64_t batch) const override;
 
   const Conv2dConfig& config() const { return config_; }
-  /// \brief Geometry for the given batch size.
-  ConvGeometry Geometry(int64_t batch) const;
 
   Tensor& weight() { return weight_; }
   Tensor& bias() { return bias_; }

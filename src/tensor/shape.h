@@ -24,10 +24,6 @@ class Shape {
   int64_t operator[](int i) const { return dim(i); }
   const std::vector<int64_t>& dims() const { return dims_; }
 
-  /// \brief Replaces the dimensions in place, reusing the current
-  /// capacity: no allocation when the rank does not grow.
-  void Assign(std::initializer_list<int64_t> dims) { dims_.assign(dims); }
-
   /// \brief Total number of elements (1 for a scalar).
   int64_t num_elements() const;
 

@@ -11,14 +11,6 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
       << "data size does not match shape " << shape_.ToString();
 }
 
-void Tensor::SwapData(std::initializer_list<int64_t> dims,
-                      std::vector<float>* data) {
-  shape_.Assign(dims);
-  ADR_CHECK_EQ(static_cast<int64_t>(data->size()), shape_.num_elements())
-      << "data size does not match shape " << shape_.ToString();
-  data_.swap(*data);
-}
-
 Tensor Tensor::Full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.Fill(value);

@@ -6,7 +6,6 @@
 #define ADR_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -81,12 +80,6 @@ class Tensor {
   void SetZero() { Fill(0.0f); }
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
-
-  /// \brief Exchanges the backing storage with `*data` and reshapes to
-  /// `dims` in place; `data->size()` must equal the element count of
-  /// `dims`. Neither buffer is copied and the shape reuses its capacity,
-  /// so handing a buffer out and back each step allocates nothing.
-  void SwapData(std::initializer_list<int64_t> dims, std::vector<float>* data);
 
   std::string DebugString(int64_t max_elements = 16) const;
 

@@ -253,7 +253,8 @@ TEST(ClusteredMatmulTest, KMeansForwardIsCentroidGemmScatterPlusBias) {
   for (const SubMatrixClustering& block : result.clustering.blocks) {
     const int64_t num_clusters = block.clustering.num_clusters();
     ASSERT_LE(num_clusters, 3 * (n / rows_per_group));
-    ASSERT_EQ(block.centroids.shape(), Shape({num_clusters, block.length}));
+    ASSERT_EQ(static_cast<int64_t>(block.centroids.size()),
+              num_clusters * block.length);
     Tensor yc(Shape({num_clusters, m}));
     Gemm(block.centroids.data(), w.data() + block.col_offset * m, yc.data(),
          num_clusters, block.length, m);

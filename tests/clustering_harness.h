@@ -42,10 +42,9 @@ inline void ExpectSameClustering(const ReuseClustering& got,
       ASSERT_TRUE(gb.signatures[c] == wb.signatures[c])
           << "block " << b << " cluster " << c;
     }
-    ASSERT_EQ(gb.centroids.shape(), wb.centroids.shape()) << "block " << b;
+    ASSERT_EQ(gb.centroids.size(), wb.centroids.size()) << "block " << b;
     ASSERT_EQ(std::memcmp(gb.centroids.data(), wb.centroids.data(),
-                          sizeof(float) * static_cast<size_t>(
-                                              gb.centroids.num_elements())),
+                          sizeof(float) * gb.centroids.size()),
               0)
         << "block " << b << " centroids differ";
     ASSERT_EQ(gb.reused_from_cache, wb.reused_from_cache) << "block " << b;
@@ -53,8 +52,9 @@ inline void ExpectSameClustering(const ReuseClustering& got,
 }
 
 /// Runs one Begin/ConsumeTile/Finish cycle of `clusterer` over the
-/// num_rows x families.k() matrix `x` in tiles of `tile_rows` rows.
-inline ReuseClustering StreamClustering(
+/// num_rows x families.k() matrix `x` in tiles of `tile_rows` rows. The
+/// result lives in `clusterer` until its next Begin.
+inline const ReuseClustering& StreamClustering(
     const BlockLshFamilies& families, const float* x, int64_t num_rows,
     int64_t rows_per_group, int64_t tile_rows,
     StreamingSubVectorClusterer* clusterer) {

@@ -91,11 +91,11 @@ void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
   WorkspaceArena arena;
   StreamingSubVectorClusterer clusterer;
   std::vector<float> y(static_cast<size_t>(n * m));
-  ReuseClustering clustering;
   ForwardReuseStats fs;
   FusedClusteredForward(families, geo, input.data(), weight, &bias,
                         rows_per_group, fused_cache, &arena, &clusterer,
-                        y.data(), &clustering, &fs);
+                        y.data(), &fs);
+  const ReuseClustering& clustering = clusterer.clustering();
 
   const float* ry = reference.y_rows.data();
   for (int64_t i = 0; i < n * m; ++i) {
@@ -262,9 +262,7 @@ TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
       const int64_t rows = std::min<int64_t>(37, n - row);
       reused.ConsumeTile(cols.data() + row * k, row, rows);
     }
-    ReuseClustering clustering = reused.Finish();
-    ExpectSameClustering(clustering, reference);
-    reused.Recycle(std::move(clustering));
+    ExpectSameClustering(reused.Finish(), reference);
   }
 }
 
@@ -344,8 +342,9 @@ TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
 
 TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
   // Same FusedClusteredForward driven through one persistent clusterer
-  // and arena for several steps (with Recycle between them, as the layer
-  // does) must keep producing the same bits as a fresh run.
+  // and arena for several steps (each Begin reusing the last clustering's
+  // buffers, as in the layer) must keep producing the same bits as a
+  // fresh run.
   const ConvGeometry geo = MultiTileGeometry(2);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
@@ -365,10 +364,9 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
   for (int step = 0; step < 3; ++step) {
     arena.Reset();
     float* y = arena.AllocFloats(n * m);
-    ReuseClustering clustering;
     ForwardReuseStats fs;
     FusedClusteredForward(*families, geo, input.data(), weight, &bias, n,
-                          nullptr, &arena, &clusterer, y, &clustering, &fs);
+                          nullptr, &arena, &clusterer, y, &fs);
     if (step == 0) {
       first.assign(y, y + n * m);
     } else {
@@ -377,7 +375,6 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
             << "step " << step << " element " << i;
       }
     }
-    clusterer.Recycle(std::move(clustering));
   }
 }
 

@@ -126,6 +126,22 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
             1e-4f);
 }
 
+TEST(ReuseConv2dDeathTest, BackwardAfterEvalForwardAborts) {
+  // The reuse backward reads the clustering the layer's clusterer keeps in
+  // place from the last Forward. An eval Forward in between rebuilt it
+  // for another batch, so Backward must abort rather than read it.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(8);
+  ReuseConv2d layer("conv_r", SmallConv(), PreciseReuse(), &rng);
+  Rng data_rng(9);
+  const Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
+  const Tensor grad_out =
+      Tensor::RandomGaussian(Shape({2, 4, 6, 6}), &data_rng);
+  layer.Forward(in, /*training=*/true);
+  layer.Forward(in, /*training=*/false);
+  EXPECT_DEATH(layer.Backward(grad_out), "training-mode Forward");
+}
+
 TEST(ReuseConv2dTest, SetReuseConfigValidates) {
   Rng rng(7);
   ReuseConv2d layer("conv", SmallConv(), PreciseReuse(), &rng);

@@ -34,8 +34,12 @@ TEST(ReuseDisabledTest, ForwardMatchesConv2dExactly) {
 
   Rng data_rng(2);
   Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
-  EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, true), dense.Forward(in, true)),
-            0.0f);
+  for (const bool training : {true, false}) {
+    EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, training),
+                         dense.Forward(in, training)),
+              0.0f)
+        << "training=" << training;
+  }
 }
 
 TEST(ReuseDisabledTest, BackwardMatchesConv2dExactly) {
@@ -53,9 +57,9 @@ TEST(ReuseDisabledTest, BackwardMatchesConv2dExactly) {
   reuse.Forward(in, true);
   Tensor dense_gin = dense.Backward(grad_out);
   Tensor reuse_gin = reuse.Backward(grad_out);
-  EXPECT_LT(MaxAbsDiff(reuse_gin, dense_gin), 1e-6f);
-  EXPECT_LT(MaxAbsDiff(*reuse.Gradients()[0], *dense.Gradients()[0]),
-            1e-6f);
+  EXPECT_EQ(MaxAbsDiff(reuse_gin, dense_gin), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[0], *dense.Gradients()[0]), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[1], *dense.Gradients()[1]), 0.0f);
 }
 
 TEST(ReuseDisabledTest, MacsCountedAsBaseline) {

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <utility>
 
 #include "core/reuse_config.h"
 #include "core/reuse_conv2d.h"
@@ -176,7 +175,7 @@ TEST(ClusterSubVectorsTest, DuplicateRowsShareClusters) {
     EXPECT_EQ(block.clustering.cluster_sizes[0], 4);
     // Centroid of identical rows equals the row.
     for (int64_t j = 0; j < block.length; ++j) {
-      EXPECT_NEAR(block.centroids.at(0, j),
+      EXPECT_NEAR(block.centroids[static_cast<size_t>(j)],
                   base.at(0, block.col_offset + j), 1e-5f);
     }
   }
@@ -309,11 +308,10 @@ TEST(StreamingClustererTest, MatchesOracleOnBothSidesOfIdentityKeyRule) {
     const ReuseClustering oracle = ReferenceClusterSubVectors(
         *families, x.data(), num_rows, c.rows_per_group);
     // 37-row tiles: group boundaries land mid-tile.
-    ReuseClustering got = StreamClustering(
+    const ReuseClustering& got = StreamClustering(
         *families, x.data(), num_rows, c.rows_per_group, 37, &reused);
     EXPECT_EQ(reused.identity_keys(), c.identity_keys);
     ExpectSameClustering(got, oracle);
-    reused.Recycle(std::move(got));
   }
 }
 
@@ -332,7 +330,7 @@ TEST(StreamingClustererTest, SingleInputGroupsSplitMidTileAtConv1Shape) {
   const ReuseClustering oracle = ReferenceClusterSubVectors(
       *families, cols.data(), n, geo.rows_per_image());
   StreamingSubVectorClusterer clusterer;
-  const ReuseClustering got =
+  const ReuseClustering& got =
       StreamClustering(*families, cols.data(), n, geo.rows_per_image(),
                        tile_rows, &clusterer);
   EXPECT_TRUE(clusterer.identity_keys());
@@ -350,12 +348,10 @@ TEST(StreamingClustererTest, SteadyCyclesMakeNoHeapAllocations) {
   ASSERT_TRUE(families.ok());
   StreamingSubVectorClusterer clusterer;
   const auto cycle = [&] {
-    ReuseClustering clustering = StreamClustering(
-        *families, cols.data(), n, n, L2TileRows(k), &clusterer);
-    clusterer.Recycle(std::move(clustering));
+    StreamClustering(*families, cols.data(), n, n, L2TileRows(k),
+                     &clusterer);
   };
-  // Two warm-up cycles bring every buffer to its steady capacity (the
-  // second returns the first one's recycled buffers).
+  // Two warm-up cycles bring every buffer to its steady capacity.
   cycle();
   cycle();
   const int64_t before = g_heap_allocations.load();
@@ -363,36 +359,11 @@ TEST(StreamingClustererTest, SteadyCyclesMakeNoHeapAllocations) {
   EXPECT_EQ(g_heap_allocations.load() - before, 0);
 }
 
-TEST(StreamingClustererTest, SteadyEvalCyclesMakeNoHeapAllocations) {
-  // The eval-mode ReuseConv2d::Forward order: the layer first donates the
-  // clustering it kept (always empty in eval mode), then clusters, then
-  // donates the fresh clustering straight back.
-  const ConvGeometry geo = testutil::SameConvGeometry(16, 32, 16, 5);
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  const Tensor cols = testutil::SmoothUnfolded(geo, 34);
-  auto families = BlockLshFamilies::Create(k, 10, 11, 23);
-  ASSERT_TRUE(families.ok());
-  StreamingSubVectorClusterer clusterer;
-  const auto cycle = [&] {
-    clusterer.Recycle(ReuseClustering{});
-    ReuseClustering clustering = StreamClustering(
-        *families, cols.data(), n, n, L2TileRows(k), &clusterer);
-    clusterer.Recycle(std::move(clustering));
-  };
-  cycle();
-  cycle();
-  const int64_t before = g_heap_allocations.load();
-  for (int i = 0; i < 3; ++i) cycle();
-  EXPECT_EQ(g_heap_allocations.load() - before, 0);
-}
+// CifarNet conv2 (batch 16, 32x16x16, 5x5 kernel, pad 2, M = 32) through
+// the fused reuse path at L = 10, H = 11: 80 blocks.
+constexpr int64_t kConv2Blocks = 800 / 10;
 
-TEST(StreamingClustererTest, SteadyEvalForwardsAllocateLessThanOnePerBlock) {
-  // A whole eval-mode forward of CifarNet conv2 (batch 16, 32x16x16, 5x5
-  // kernel, pad 2, M = 32) through the fused reuse path at L = 10,
-  // H = 11: 80 blocks. The forward still allocates its output tensor and
-  // a few metric names, but a clustering hand-off that rebuilt its
-  // per-block results would cost at least one allocation per block.
+ReuseConv2d Conv2Layer(Rng* rng) {
   Conv2dConfig config;
   config.in_channels = 32;
   config.out_channels = 32;
@@ -404,16 +375,44 @@ TEST(StreamingClustererTest, SteadyEvalForwardsAllocateLessThanOnePerBlock) {
   ReuseConfig reuse;
   reuse.sub_vector_length = 10;
   reuse.num_hashes = 11;
+  return ReuseConv2d("alloc_conv2", config, reuse, rng);
+}
+
+TEST(StreamingClustererTest, SteadyEvalForwardsAllocateLessThanOnePerBlock) {
+  // A whole eval-mode forward of conv2. It still allocates its output
+  // tensor and a few metric names, but a clustering that rebuilt its
+  // per-block results would cost at least one allocation per block.
   Rng rng(35);
-  ReuseConv2d layer("alloc_conv2", config, reuse, &rng);
+  ReuseConv2d layer = Conv2Layer(&rng);
   const Tensor input = Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &rng);
-  const int64_t num_blocks = 800 / 10;
   for (int i = 0; i < 2; ++i) layer.Forward(input, /*training=*/false);
   for (int i = 0; i < 3; ++i) {
     const int64_t before = g_heap_allocations.load();
     const Tensor out = layer.Forward(input, /*training=*/false);
-    EXPECT_LT(g_heap_allocations.load() - before, num_blocks)
+    EXPECT_LT(g_heap_allocations.load() - before, kConv2Blocks)
         << "forward " << i;
+  }
+}
+
+TEST(StreamingClustererTest, SteadyTrainingStepsAllocateLessThanOnePerBlock) {
+  // A training Forward plus the reuse Backward, which reads the
+  // clustering the clusterer kept in place: beyond the output and input
+  // gradient tensors and metric names, nothing may allocate per block.
+  Rng rng(36);
+  ReuseConv2d layer = Conv2Layer(&rng);
+  const Tensor input = Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &rng);
+  const Tensor grad_out =
+      Tensor::RandomGaussian(Shape({16, 32, 16, 16}), &rng);
+  for (int i = 0; i < 2; ++i) {
+    layer.Forward(input, /*training=*/true);
+    layer.Backward(grad_out);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const int64_t before = g_heap_allocations.load();
+    const Tensor out = layer.Forward(input, /*training=*/true);
+    const Tensor grad_in = layer.Backward(grad_out);
+    EXPECT_LT(g_heap_allocations.load() - before, kConv2Blocks)
+        << "step " << i;
   }
 }
 
