@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -133,16 +134,34 @@ void BM_ClusterOnly(benchmark::State& state) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
   }
-  // One persistent clusterer, as in the layer, fed tiles of the forward's
-  // height: each Begin reuses the last clustering's buffers.
+  // One persistent clusterer, as in the layer, fed block by block in the
+  // forward's chunks: one ParallelFor over blocks, each copying its
+  // columns of x into its own padded chunk. Each Begin reuses the last
+  // clustering's buffers.
   StreamingSubVectorClusterer clusterer;
-  const int64_t tile_rows = L2TileRows(Workload::kK);
+  const int64_t stride = StreamingSubVectorClusterer::ChunkStride(l);
+  const int64_t chunk_rows = StreamingSubVectorClusterer::ChunkRows(stride);
+  const int64_t num_blocks = families->num_blocks();
+  std::vector<float> chunks(
+      static_cast<size_t>(num_blocks * chunk_rows * stride), 0.0f);
   for (auto _ : state) {
     clusterer.Begin(&*families, Workload::kN, Workload::kN);
-    for (int64_t row = 0; row < Workload::kN; row += tile_rows) {
-      clusterer.ConsumeTile(wl.x.data() + row * Workload::kK, row,
-                            std::min(tile_rows, Workload::kN - row));
-    }
+    ParallelFor(num_blocks, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t b = begin; b < end; ++b) {
+        float* chunk = chunks.data() + b * chunk_rows * stride;
+        const float* src = wl.x.data() + families->block_offset(b);
+        const size_t bytes =
+            sizeof(float) * static_cast<size_t>(families->block_length(b));
+        for (int64_t row = 0; row < Workload::kN; row += chunk_rows) {
+          const int64_t rows = std::min(chunk_rows, Workload::kN - row);
+          for (int64_t r = 0; r < rows; ++r) {
+            std::memcpy(chunk + r * stride, src + (row + r) * Workload::kK,
+                        bytes);
+          }
+          clusterer.ConsumeBlock(b, chunk, stride, row, rows);
+        }
+      }
+    });
     benchmark::DoNotOptimize(clusterer.Finish().blocks.data());
   }
   state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK *
@@ -435,8 +454,9 @@ Tensor SmoothConv2Input(Rng* rng) {
 // Eval-mode forward of CifarNet conv2 (batch 16, 32x16x16 input, 5x5
 // kernel, pad 2: N = 4096, K = 800) with M output channels, through the
 // dense Conv2d (reuse:0) or the fused ReuseConv2d at L = 10, H = 11
-// (reuse:1). Both stream L2-sized im2col tiles; the ratio of the two
-// rows at each M is where reuse crosses dense on the wall clock.
+// (reuse:1). Dense streams L2-sized im2col tiles, reuse walks each block
+// in L1-sized chunks; the ratio of the two rows at each M is where reuse
+// crosses dense on the wall clock.
 void BM_ReuseVsDenseForward(benchmark::State& state) {
   SetupThreads(state);
   Conv2dConfig config;

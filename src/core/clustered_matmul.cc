@@ -173,32 +173,58 @@ void PublishCoreForwardMetrics(const ForwardReuseStats& stats) {
   metrics.histogram("core/gemm_seconds")->Record(stats.gemm_seconds);
 }
 
-// The one LSH forward: streams the num_rows unfolded rows through
-// `clusterer` in L2TileRows(k)-row tiles, where `tile_at(row, rows)`
-// returns rows [row, row + rows) at stride k, then runs the shared back
-// half and returns the clusterer's clustering. Its callers differ only in
-// where a tile comes from.
-template <typename TileSource>
+// The one LSH forward: clusters block by block, then runs the shared back
+// half and returns the clusterer's clustering. One ParallelFor over
+// blocks covers the whole front half. A worker walks all num_rows rows of
+// each of its blocks in ChunkRows-high chunks, which
+// `unfold(block, row, rows, chunk, stride)` fills with the block's
+// columns of rows [row, row + rows) at the padded stride. Its callers
+// differ only in where those columns come from.
+template <typename ChunkSource>
 ReuseClustering& StreamClusteredForward(
     const BlockLshFamilies& families, int64_t num_rows, const Tensor& weight,
     const Tensor* bias, int64_t rows_per_group, ClusterReuseCache* cache,
     ScratchAllocator* scratch, StreamingSubVectorClusterer* clusterer,
-    TileSource tile_at, float* y, ForwardReuseStats* stats) {
-  const int64_t k = families.k();
+    ChunkSource unfold, float* y, ForwardReuseStats* stats) {
   ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], k);
+  ADR_CHECK_EQ(weight.shape()[0], families.k());
   Timer timer;
 
-  // 1. Hash and cluster tile by tile (hashing + grouping + centroids).
+  // 1. Hash and cluster block by block (hashing + grouping + centroids).
   ReuseClustering* clustering;
   {
     ADR_TRACE_SPAN("fused_tile_cluster");
     clusterer->Begin(&families, num_rows, rows_per_group);
-    const int64_t tile_rows = L2TileRows(k);
-    for (int64_t row = 0; row < num_rows; row += tile_rows) {
-      const int64_t rows = std::min(tile_rows, num_rows - row);
-      clusterer->ConsumeTile(tile_at(row, rows), row, rows);
-    }
+    const int64_t num_blocks = families.num_blocks();
+    const int64_t stride = clusterer->chunk_stride();
+    const int64_t chunk_rows = StreamingSubVectorClusterer::ChunkRows(stride);
+    // Cost per row and block: the unfold, the projection's FMAs and the
+    // centroid adds. At most kMaxBlockChunks chunks, so the chunk
+    // buffers (one per ParallelFor chunk) stay few; the result does not
+    // depend on how blocks are split.
+    constexpr int64_t kMaxBlockChunks = 16;
+    const int64_t grain = std::max(
+        GrainForCost(num_rows * (families.block_length(0) *
+                                     (families.family(0).padded_hashes() + 1) +
+                                 stride)),
+        (num_blocks + kMaxBlockChunks - 1) / kMaxBlockChunks);
+    const int64_t chunk_floats = chunk_rows * stride;
+    float* chunks =
+        scratch->Floats((num_blocks + grain - 1) / grain * chunk_floats);
+    ParallelFor(num_blocks, grain, [&](int64_t begin, int64_t end) {
+      ADR_TRACE_SPAN("cluster_blocks");
+      // Unfolds write only a block's L lanes of each row, so the padding
+      // lanes keep these zeros for the whole walk.
+      float* chunk = chunks + begin / grain * chunk_floats;
+      std::fill_n(chunk, chunk_floats, 0.0f);
+      for (int64_t b = begin; b < end; ++b) {
+        for (int64_t row = 0; row < num_rows; row += chunk_rows) {
+          const int64_t rows = std::min(chunk_rows, num_rows - row);
+          unfold(b, row, rows, chunk, stride);
+          clusterer->ConsumeBlock(b, chunk, stride, row, rows);
+        }
+      }
+    });
     clustering = &clusterer->Finish();
   }
   stats->hash_seconds = timer.ElapsedSeconds();
@@ -227,12 +253,20 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
   result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
   ScratchAllocator scratch(/*arena=*/nullptr);
   StreamingSubVectorClusterer clusterer;
-  // Tiles are read in place from x; the clustering moves out of the local
+  // Chunks are copied from x; the clustering moves out of the local
   // clusterer.
+  const auto copy_columns = [&](int64_t block, int64_t row, int64_t rows,
+                                float* chunk, int64_t stride) {
+    const float* src = x + row * k + families.block_offset(block);
+    const size_t bytes =
+        sizeof(float) * static_cast<size_t>(families.block_length(block));
+    for (int64_t r = 0; r < rows; ++r) {
+      std::memcpy(chunk + r * stride, src + r * k, bytes);
+    }
+  };
   result.clustering = std::move(StreamClusteredForward(
       families, num_rows, weight, bias, rows_per_group, cache, &scratch,
-      &clusterer, [x, k](int64_t row, int64_t) { return x + row * k; },
-      result.y_rows.data(), &result.stats));
+      &clusterer, copy_columns, result.y_rows.data(), &result.stats));
   return result;
 }
 
@@ -243,26 +277,22 @@ void FusedClusteredForward(const BlockLshFamilies& families,
                            WorkspaceArena* arena,
                            StreamingSubVectorClusterer* clusterer, float* y,
                            ForwardReuseStats* stats) {
-  const int64_t k = geo.unfolded_cols();
-  ADR_CHECK_EQ(k, families.k());
+  ADR_CHECK_EQ(geo.unfolded_cols(), families.k());
   ADR_CHECK(clusterer != nullptr);
 
   ADR_TRACE_SPAN("FusedClusteredForward");
   ScratchAllocator scratch(arena);
-  // Tiles are generated by im2col into one L2-sized buffer; the unfolded
-  // matrix never exists. (Tile generation parallelizes over row
-  // sub-ranges; ConsumeTile parallelizes over blocks.)
-  float* tile = scratch.Floats(L2TileRows(k) * k);
-  const auto im2col_tile = [&](int64_t row, int64_t rows) {
-    ADR_TRACE_SPAN("im2col_tile");
-    ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
-      Im2ColRows(geo, input_nchw, row + begin, row + end, tile + begin * k);
-    });
-    return static_cast<const float*>(tile);
+  // Each chunk is unfolded straight from NCHW, only the block's columns;
+  // the unfolded matrix never exists.
+  const auto unfold_columns = [&](int64_t block, int64_t row, int64_t rows,
+                                  float* chunk, int64_t stride) {
+    const int64_t col = families.block_offset(block);
+    Im2ColColumns(geo, input_nchw, row, row + rows, col,
+                  col + families.block_length(block), chunk, stride);
   };
   StreamClusteredForward(families, geo.unfolded_rows(), weight, bias,
                          rows_per_group, cache, &scratch, clusterer,
-                         im2col_tile, y, stats);
+                         unfold_columns, y, stats);
   MetricsRegistry::Global().counter("core/fused_forwards")->Increment();
 }
 
@@ -270,6 +300,21 @@ ForwardReuseResult KMeansMatmulForward(
     const float* x, int64_t num_rows, int64_t k, int64_t sub_vector_length,
     const Tensor& weight, const Tensor* bias, int64_t rows_per_group,
     int64_t clusters_per_group, int iterations, uint64_t seed) {
+  ForwardReuseResult result;
+  result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
+  KMeansMatmulForward(x, num_rows, k, sub_vector_length, weight, bias,
+                      rows_per_group, clusters_per_group, iterations, seed,
+                      result.y_rows.data(), &result.clustering,
+                      &result.stats);
+  return result;
+}
+
+void KMeansMatmulForward(const float* x, int64_t num_rows, int64_t k,
+                         int64_t sub_vector_length, const Tensor& weight,
+                         const Tensor* bias, int64_t rows_per_group,
+                         int64_t clusters_per_group, int iterations,
+                         uint64_t seed, float* y, ReuseClustering* clustering,
+                         ForwardReuseStats* stats) {
   ADR_CHECK_EQ(weight.shape().rank(), 2);
   ADR_CHECK_EQ(weight.shape()[0], k);
   ADR_CHECK_GT(num_rows, 0);
@@ -278,11 +323,11 @@ ForwardReuseResult KMeansMatmulForward(
       sub_vector_length <= 0 || sub_vector_length > k ? k : sub_vector_length;
 
   ADR_TRACE_SPAN("KMeansMatmulForward");
-  ForwardReuseResult result;
   Timer timer;
-  result.clustering.num_rows = num_rows;
-  result.clustering.num_cols = k;
-
+  *stats = ForwardReuseStats();
+  clustering->blocks.clear();
+  clustering->num_rows = num_rows;
+  clustering->num_cols = k;
   for (int64_t offset = 0; offset < k; offset += length) {
     SubMatrixClustering block;
     block.col_offset = offset;
@@ -319,18 +364,15 @@ ForwardReuseResult KMeansMatmulForward(
                            centroids.data() + centroids.num_elements());
     block.reused_from_cache.assign(
         static_cast<size_t>(merged.num_clusters()), false);
-    result.clustering.blocks.push_back(std::move(block));
+    clustering->blocks.push_back(std::move(block));
   }
-  result.stats.hash_seconds = timer.ElapsedSeconds();
+  stats->hash_seconds = timer.ElapsedSeconds();
 
   timer.Reset();
-  result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
   ScratchAllocator scratch(/*arena=*/nullptr);
-  FinishForwardFromClustering(&result.clustering, weight, bias,
-                              /*cache=*/nullptr, /*num_hashes=*/0, &scratch,
-                              result.y_rows.data(), &result.stats);
-  result.stats.gemm_seconds = timer.ElapsedSeconds();
-  return result;
+  FinishForwardFromClustering(clustering, weight, bias, /*cache=*/nullptr,
+                              /*num_hashes=*/0, &scratch, y, stats);
+  stats->gemm_seconds = timer.ElapsedSeconds();
 }
 
 }  // namespace adr

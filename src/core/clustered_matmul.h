@@ -46,8 +46,8 @@ struct ForwardReuseResult {
 /// `rows_per_group` sets the clustering scope (see
 /// StreamingSubVectorClusterer::Begin); `cache` enables Algorithm 1 when
 /// non-null. Runs FusedClusteredForward's pipeline on a local clusterer,
-/// with tiles read in place from `x` instead of generated by im2col, so
-/// the two agree bit for bit on the same unfolded rows.
+/// with each block chunk copied from `x` instead of unfolded from NCHW,
+/// so the two agree bit for bit on the same unfolded rows.
 ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           const float* x, int64_t num_rows,
                                           const Tensor& weight,
@@ -55,15 +55,16 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           int64_t rows_per_group,
                                           ClusterReuseCache* cache);
 
-/// \brief The fused, tiled forward: im2col rows are generated straight
-/// from the NCHW `input` in L2TileRows-sized tiles, hashed and clustered
-/// by the streaming `clusterer`, and only the |C| centroid rows ever meet
-/// the GEMM — the N x K unfolded matrix is never materialized, shifting
-/// the forward footprint from O(N*K) toward O(tile*K + |C|*K).
+/// \brief The fused, block-major forward: one ParallelFor over the column
+/// blocks, each block walking all rows in L1-sized chunks of its own
+/// columns, unfolded straight from the NCHW `input` (Im2ColColumns) and
+/// clustered by the streaming `clusterer`; only the |C| centroid rows
+/// ever meet the GEMM. The N x K unfolded matrix is never materialized:
+/// the forward's footprint is O(chunks + |C|*K), not O(N*K).
 ///
 /// Signatures, clusterings, and `y` are bit-identical to
 /// ClusteredMatmulForward on the materialized Im2Col output: both run
-/// one streaming pipeline and differ only in where a tile comes from.
+/// one streaming pipeline and differ only in where a chunk comes from.
 /// `y` is num_rows x M, overwritten. The clustering stays in the
 /// caller-owned `clusterer` (clusterer->clustering(), valid until its next
 /// Begin), whose buffers persist across steps; scratch comes from `arena`
@@ -84,6 +85,16 @@ ForwardReuseResult KMeansMatmulForward(
     const float* x, int64_t num_rows, int64_t k, int64_t sub_vector_length,
     const Tensor& weight, const Tensor* bias, int64_t rows_per_group,
     int64_t clusters_per_group, int iterations, uint64_t seed);
+
+/// \brief KMeansMatmulForward into caller-owned storage: `y` (num_rows x
+/// M) is overwritten, `clustering` and `stats` are replaced. The layer's
+/// form, which writes y straight into its arena.
+void KMeansMatmulForward(const float* x, int64_t num_rows, int64_t k,
+                         int64_t sub_vector_length, const Tensor& weight,
+                         const Tensor* bias, int64_t rows_per_group,
+                         int64_t clusters_per_group, int iterations,
+                         uint64_t seed, float* y, ReuseClustering* clustering,
+                         ForwardReuseStats* stats);
 
 }  // namespace adr
 

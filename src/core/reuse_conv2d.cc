@@ -115,14 +115,11 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     // K-means needs iterative passes over the rows, so it materializes
     // the N x K matrix (arena-owned).
     float* cols = Im2ColIntoArena(geo, input);
-    ForwardReuseResult forward = KMeansMatmulForward(
-        cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
-        rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
-        reuse_.seed);
-    fs = forward.stats;
-    std::copy_n(forward.y_rows.data(), n * m, y);
+    KMeansMatmulForward(cols, n, k, reuse_.EffectiveLength(k), weight_,
+                        &bias_, rows_per_group, reuse_.kmeans_clusters,
+                        reuse_.kmeans_iterations, reuse_.seed, y,
+                        &kmeans_clustering_, &fs);
     if (training) {
-      kmeans_clustering_ = std::move(forward.clustering);
       backward_clustering_ = &kmeans_clustering_;
       if (exact_backward_) cached_cols_data_ = cols;
     }

@@ -1,22 +1,19 @@
 #include "core/subvector_clustering.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "tensor/simd.h"
 #include "util/check.h"
-#include "util/parallel.h"
-#include "util/trace.h"
 
 namespace adr {
 
 namespace {
 
-// Cost of one row's signature-table probe in GrainForCost units: a
-// dependent load of a random slot, the compare, the size update and, for
-// a new cluster, the inserts.
-constexpr int64_t kProbeOps = 64;
+// Bytes of one block chunk; see StreamingSubVectorClusterer::ChunkRows.
+constexpr int64_t kChunkBytes = 16 * 1024;
 
 }  // namespace
 
@@ -70,7 +67,7 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
   families_ = families;
   num_rows_ = num_rows;
   rows_per_group_ = rows_per_group;
-  next_row_ = 0;
+  stride_ = ChunkStride(families->block_length(0));
   // A group holds at most min(rows_per_group, 2^H) distinct signatures;
   // twice that, rounded up to a power of two, keeps the load factor at or
   // below 1/2.
@@ -100,6 +97,7 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
       bs.slot_id.assign(capacity, -1);
       bs.used_slots.clear();
     }
+    bs.next_row = 0;
     SubMatrixClustering& out = result_.blocks[b];
     out.col_offset = families->block_offset(static_cast<int64_t>(b));
     out.length = families->block_length(static_cast<int64_t>(b));
@@ -117,40 +115,45 @@ void StreamingSubVectorClusterer::ResetGroup(BlockState* bs) {
   bs->used_slots.clear();
 }
 
-void StreamingSubVectorClusterer::ClusterBlockTile(
-    const simd::Kernels& kernels, int64_t block, const float* tile,
-    int64_t row_begin, int64_t tile_rows) {
-  BlockState& bs = blocks_[static_cast<size_t>(block)];
-  SubMatrixClustering& out = result_.blocks[static_cast<size_t>(block)];
-  std::vector<int64_t>& sizes = out.clustering.cluster_sizes;
-  std::vector<LshSignature>& sigs = out.signatures;
-  const LshSignature* tile_sigs = bs.tile_sigs.data();
-  int32_t* ids = out.clustering.assignment.data() + row_begin;
+template <bool kIdentityKeys>
+void StreamingSubVectorClusterer::AssignIds(BlockState* bs,
+                                            SubMatrixClustering* out,
+                                            int64_t row_begin,
+                                            int64_t num_rows) {
+  std::vector<int64_t>& sizes = out->clustering.cluster_sizes;
+  std::vector<LshSignature>& sigs = out->signatures;
+  const LshSignature* chunk_sigs = bs->chunk_sigs.data();
+  int32_t* slot_id = bs->slot_id.data();
+  int32_t* ids = out->clustering.assignment.data() + row_begin;
   // Id assignment in ascending global row order replays
   // ClusterBySignature's first-seen order. The table empties at every
   // group boundary, so rows run in segments between boundaries.
   int64_t i = 0;
-  while (i < tile_rows) {
+  while (i < num_rows) {
     const int64_t in_group = (row_begin + i) % rows_per_group_;
-    if (in_group == 0) ResetGroup(&bs);
+    if (in_group == 0) ResetGroup(bs);
     const int64_t segment_end =
-        std::min(tile_rows, i + rows_per_group_ - in_group);
+        std::min(num_rows, i + rows_per_group_ - in_group);
     for (; i < segment_end; ++i) {
-      const LshSignature& sig = tile_sigs[i];
-      // Identity keys give every signature its own slot, so the probe
-      // stops at the first one.
-      size_t slot = static_cast<size_t>(identity_keys_ ? sig.words[0]
-                                                       : SignatureKey(sig)) &
-                    table_mask_;
+      const LshSignature& sig = chunk_sigs[i];
+      size_t slot;
       int32_t id;
-      while ((id = bs.slot_id[slot]) >= 0 &&
-             !(sigs[static_cast<size_t>(id)] == sig)) {
-        slot = (slot + 1) & table_mask_;
+      if constexpr (kIdentityKeys) {
+        // Every signature owns the slot it names, so a filled slot is
+        // always this signature's.
+        slot = static_cast<size_t>(sig.words[0]);
+        id = slot_id[slot];
+      } else {
+        slot = static_cast<size_t>(SignatureKey(sig)) & table_mask_;
+        while ((id = slot_id[slot]) >= 0 &&
+               !(sigs[static_cast<size_t>(id)] == sig)) {
+          slot = (slot + 1) & table_mask_;
+        }
       }
       if (id < 0) {
         id = static_cast<int32_t>(sizes.size());
-        bs.slot_id[slot] = id;
-        bs.used_slots.push_back(static_cast<int32_t>(slot));
+        slot_id[slot] = id;
+        bs->used_slots.push_back(static_cast<int32_t>(slot));
         sizes.push_back(0);
         sigs.push_back(sig);
       }
@@ -158,70 +161,83 @@ void StreamingSubVectorClusterer::ClusterBlockTile(
       ++sizes[static_cast<size_t>(id)];
     }
   }
-  // The centroid sums accumulate in ComputeCentroids' row order with the
-  // same single-rounding adds, so they are bit-identical to the
-  // materialized reference.
-  out.centroids.resize(sizes.size() * static_cast<size_t>(out.length), 0.0f);
-  kernels.scatter_add_rows(tile + out.col_offset, families_->k(), tile_rows,
-                           ids, out.centroids.data(), out.length);
 }
 
-void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
-                                              int64_t row_begin,
-                                              int64_t tile_rows) {
-  ADR_CHECK_EQ(row_begin, next_row_) << "tiles must arrive in row order";
-  ADR_CHECK_GT(tile_rows, 0);
-  ADR_CHECK_LE(row_begin + tile_rows, num_rows_);
-  const int64_t k = families_->k();
-  const int64_t num_blocks = families_->num_blocks();
-  // Blocks are independent, so both phases run as a ParallelFor over
-  // blocks. Grains come from per-block cost estimates: the projection's
-  // FMAs, and one probe plus one add per row and column.
-  const int64_t block_cols = families_->block_length(0);
-  const int64_t hash_grain = GrainForCost(
-      tile_rows * block_cols * families_->family(0).padded_hashes());
-  const int64_t pass_grain = GrainForCost(tile_rows * (block_cols + kProbeOps));
+void StreamingSubVectorClusterer::ConsumeBlock(int64_t block,
+                                               const float* chunk,
+                                               int64_t row_stride,
+                                               int64_t row_begin,
+                                               int64_t num_rows) {
+  ADR_CHECK(block >= 0 && block < families_->num_blocks());
+  BlockState& bs = blocks_[static_cast<size_t>(block)];
+  ADR_CHECK_EQ(row_begin, bs.next_row) << "chunks must arrive in row order";
+  ADR_CHECK_GT(num_rows, 0);
+  ADR_CHECK_LE(row_begin + num_rows, num_rows_);
+  ADR_CHECK_GE(row_stride, stride_);
+  SubMatrixClustering& out = result_.blocks[static_cast<size_t>(block)];
 
-  // Every block's columns are hashed in place at stride k, through the
-  // same kernel call the reference makes on the full matrix.
-  {
-    ADR_TRACE_SPAN("lsh_hash");
-    ParallelFor(num_blocks, hash_grain, [&](int64_t begin, int64_t end) {
-      for (int64_t b = begin; b < end; ++b) {
-        BlockState& bs = blocks_[static_cast<size_t>(b)];
-        bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
-        families_->family(b).HashRowsInto(tile + families_->block_offset(b),
-                                          tile_rows, k, bs.tile_sigs.data());
-      }
-    });
+  // Hash the chunk in place, through the same kernel call the reference
+  // makes on the full matrix.
+  if (bs.chunk_sigs.size() < static_cast<size_t>(num_rows)) {
+    bs.chunk_sigs.resize(static_cast<size_t>(num_rows));
+  }
+  families_->family(block).HashRowsInto(chunk, num_rows, row_stride,
+                                        bs.chunk_sigs.data());
+  if (identity_keys_) {
+    AssignIds<true>(&bs, &out, row_begin, num_rows);
+  } else {
+    AssignIds<false>(&bs, &out, row_begin, num_rows);
   }
 
-  ADR_TRACE_SPAN("cluster_pass");
+  // The centroid sums accumulate in ComputeCentroids' row order with the
+  // same single-rounding adds, so lanes below L are bit-identical to the
+  // materialized reference. Full padded rows keep the kernel unmasked.
   const simd::Kernels& kernels = simd::Active();
-  ParallelFor(num_blocks, pass_grain, [&](int64_t begin, int64_t end) {
-    for (int64_t b = begin; b < end; ++b) {
-      ClusterBlockTile(kernels, b, tile, row_begin, tile_rows);
-    }
-  });
-  next_row_ += tile_rows;
+  out.centroids.resize(
+      out.clustering.cluster_sizes.size() * static_cast<size_t>(stride_),
+      0.0f);
+  kernels.scatter_add_rows(chunk, row_stride, num_rows,
+                           out.clustering.assignment.data() + row_begin,
+                           out.centroids.data(), stride_);
+  bs.next_row += num_rows;
+  if (bs.next_row == num_rows_) FinishBlock(kernels, &out);
+}
+
+void StreamingSubVectorClusterer::FinishBlock(const simd::Kernels& kernels,
+                                              SubMatrixClustering* out) {
+  const std::vector<int64_t>& sizes = out->clustering.cluster_sizes;
+  const int64_t num_clusters = out->clustering.num_clusters();
+  const int64_t length = out->length;
+  float* c = out->centroids.data();
+  // In ascending cluster order a compacted row never overwrites a padded
+  // row still to be read: (cl + 1) * L <= (cl + 1) * stride.
+  for (int64_t cl = 0; cl < num_clusters; ++cl) {
+    const int64_t size = sizes[static_cast<size_t>(cl)];
+    ADR_CHECK_GT(size, 0) << "empty cluster " << cl;
+    float* centroid = c + cl * length;
+    std::memmove(centroid, c + cl * stride_,
+                 sizeof(float) * static_cast<size_t>(length));
+    kernels.scale(1.0f / static_cast<float>(size), centroid, length);
+  }
+  out->centroids.resize(static_cast<size_t>(num_clusters * length));
+  out->reused_from_cache.assign(static_cast<size_t>(num_clusters), false);
 }
 
 ReuseClustering& StreamingSubVectorClusterer::Finish() {
-  ADR_CHECK_EQ(next_row_, num_rows_) << "tiles did not cover all rows";
-  const simd::Kernels& kernels = simd::Active();
-  for (SubMatrixClustering& out : result_.blocks) {
-    const std::vector<int64_t>& sizes = out.clustering.cluster_sizes;
-    const int64_t num_clusters = out.clustering.num_clusters();
-    float* c = out.centroids.data();
-    for (int64_t cl = 0; cl < num_clusters; ++cl) {
-      const int64_t size = sizes[static_cast<size_t>(cl)];
-      ADR_CHECK_GT(size, 0) << "empty cluster " << cl;
-      kernels.scale(1.0f / static_cast<float>(size), c + cl * out.length,
-                    out.length);
-    }
-    out.reused_from_cache.assign(static_cast<size_t>(num_clusters), false);
+  for (const BlockState& bs : blocks_) {
+    ADR_CHECK_EQ(bs.next_row, num_rows_) << "chunks did not cover all rows";
   }
   return result_;
+}
+
+int64_t StreamingSubVectorClusterer::ChunkStride(int64_t length) {
+  return (length + simd::kMaxWidth - 1) / simd::kMaxWidth * simd::kMaxWidth;
+}
+
+int64_t StreamingSubVectorClusterer::ChunkRows(int64_t stride) {
+  const int64_t rows =
+      kChunkBytes / static_cast<int64_t>(sizeof(float)) / stride / 4 * 4;
+  return std::max<int64_t>(4, rows);
 }
 
 }  // namespace adr

@@ -61,6 +61,17 @@ void Im2Col(const ConvGeometry& geo, const Tensor& input, Tensor* out);
 void Im2ColRows(const ConvGeometry& geo, const float* input,
                 int64_t row_begin, int64_t row_end, float* out);
 
+/// \brief Column slice of Im2ColRows: columns [col_begin, col_end) of
+/// unfolded rows [row_begin, row_end), row r written to
+/// out + (r - row_begin) * out_stride. Lanes at or past
+/// col_end - col_begin of each output row are never touched, so a chunk
+/// padded to a wider stride keeps its padding. Bitwise equal to those
+/// columns of Im2Col. Interior receptive fields copy fixed-width runs with
+/// no clipping; Im2ColRows is the full-width case.
+void Im2ColColumns(const ConvGeometry& geo, const float* input,
+                   int64_t row_begin, int64_t row_end, int64_t col_begin,
+                   int64_t col_end, float* out, int64_t out_stride);
+
 /// \brief Folds gradient `grad_cols` ([N, K]) back into `grad_input`
 /// ([Nb, Ic, Ih, Iw]), accumulating overlapping patches.
 void Col2Im(const ConvGeometry& geo, const Tensor& grad_cols,

@@ -72,12 +72,14 @@ struct Kernels {
                            const int64_t* seg, int64_t num_segs, float* y,
                            int64_t n);
   /// Centroid sums of the streaming clusterer: for r = 0, 1, ..., rows - 1
-  /// in order, sums[ids[r] * n + i] += x[r * ldx + i] for every i < n. A
-  /// run of consecutive rows with equal ids keeps its sum in registers
-  /// between one load and one store of sums[ids[r]]. Every lane sees the
-  /// same single-rounding adds in the same row order, so the result is
-  /// bitwise equal to that per-row loop on every backend. Tail lanes are
-  /// masked: nothing past n floats of a row or a sum is read or written.
+  /// in order, sums[ids[r] * n + i] += x[r * ldx + i] for every i < n.
+  /// Every lane sees the same single-rounding adds in the same row order,
+  /// so the result is bitwise equal to that per-row loop on every
+  /// backend. Rows go one at a time with no branch on the id; the
+  /// clusterer passes n as a whole number of registers, so a row that
+  /// repeats the previous row's id reloads a sum through store
+  /// forwarding. Tail lanes are masked: nothing past n floats of a row or
+  /// a sum is read or written.
   void (*scatter_add_rows)(const float* x, int64_t ldx, int64_t rows,
                            const int32_t* ids, float* sums, int64_t n);
   /// y[i] = x[i]; bitwise-exact on every backend (the cluster-cache

@@ -227,7 +227,6 @@ void AxpyImpl(float s, const float* x, float* y, int64_t n) {
 
 template <typename Ops>
 void AddImpl(const float* x, float* y, int64_t n) {
-  using Reg = typename Ops::Reg;
   constexpr int64_t kW = Ops::kWidth;
   int64_t i = 0;
   for (; i + kW <= n; i += kW) {
@@ -289,72 +288,30 @@ void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
   }
 }
 
-// Columns [0, F * kWidth + tail) of one run: s[i] += x[r * ldx + i] for
-// r < rows in order, F full registers plus, when tail > 0, one masked
-// register of `tail` lanes, all held in registers across the run.
-template <typename Ops, int F>
-void AddRunColumns(const float* x, int64_t ldx, int64_t rows, float* s,
-                   int tail) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  Reg acc[F > 0 ? F : 1];
-#pragma GCC unroll 2
-  for (int f = 0; f < F; ++f) acc[f] = Ops::Load(s + f * kW);
-  if constexpr (kW > 1) {
-    if (tail > 0) {
-      const typename Ops::Mask mask = Ops::TailMask(tail);
-      Reg rest = Ops::MaskLoad(s + F * kW, mask);
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* xr = x + r * ldx;
-#pragma GCC unroll 2
-        for (int f = 0; f < F; ++f) {
-          acc[f] = Ops::Add(acc[f], Ops::Load(xr + f * kW));
-        }
-        rest = Ops::Add(rest, Ops::MaskLoad(xr + F * kW, mask));
-      }
-#pragma GCC unroll 2
-      for (int f = 0; f < F; ++f) Ops::Store(s + f * kW, acc[f]);
-      Ops::MaskStore(s + F * kW, mask, rest);
-      return;
-    }
-  }
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * ldx;
-#pragma GCC unroll 2
-    for (int f = 0; f < F; ++f) {
-      acc[f] = Ops::Add(acc[f], Ops::Load(xr + f * kW));
-    }
-  }
-#pragma GCC unroll 2
-  for (int f = 0; f < F; ++f) Ops::Store(s + f * kW, acc[f]);
-}
-
 template <typename Ops>
 void ScatterAddRowsImpl(const float* x, int64_t ldx, int64_t rows,
                         const int32_t* ids, float* sums, int64_t n) {
   constexpr int64_t kW = Ops::kWidth;
-  int64_t r = 0;
-  while (r < rows) {
-    const int32_t id = ids[r];
-    int64_t end = r + 1;
-    while (end < rows && ids[end] == id) ++end;
+  // One row at a time, no run detection: clusters change every row or
+  // two on real data, so a run branch would mispredict about as often as
+  // it is taken. A row equal to the previous row's cluster reloads the
+  // sum its store just wrote, which full-width stores forward.
+  for (int64_t r = 0; r < rows; ++r) {
     const float* xr = x + r * ldx;
-    float* s = sums + id * n;
-    const int64_t run = end - r;
-    // Two registers per pass; the last pass takes the remaining full
-    // register and the masked tail together.
+    float* s = sums + static_cast<int64_t>(ids[r]) * n;
     int64_t i = 0;
-    for (; i + 2 * kW <= n; i += 2 * kW) {
-      AddRunColumns<Ops, 2>(xr + i, ldx, run, s + i, 0);
+#pragma GCC unroll 4
+    for (; i + kW <= n; i += kW) {
+      Ops::Store(s + i, Ops::Add(Ops::Load(s + i), Ops::Load(xr + i)));
     }
-    const int64_t rest = n - i;
-    if (rest >= kW) {
-      AddRunColumns<Ops, 1>(xr + i, ldx, run, s + i,
-                            static_cast<int>(rest - kW));
-    } else if (rest > 0) {
-      AddRunColumns<Ops, 0>(xr + i, ldx, run, s + i, static_cast<int>(rest));
+    if constexpr (kW > 1) {
+      if (i < n) {
+        const typename Ops::Mask mask = Ops::TailMask(static_cast<int>(n - i));
+        Ops::MaskStore(s + i, mask,
+                       Ops::Add(Ops::MaskLoad(s + i, mask),
+                                Ops::MaskLoad(xr + i, mask)));
+      }
     }
-    r = end;
   }
 }
 

@@ -1,8 +1,8 @@
 // Shared machinery for the streaming-clusterer tests: a bitwise
 // comparison of two ReuseClusterings, a helper that streams a
-// materialized unfolded matrix through StreamingSubVectorClusterer in
-// fixed-height tiles, and smooth conv inputs whose unfolded rows repeat
-// signatures the way natural images do.
+// materialized unfolded matrix through StreamingSubVectorClusterer block
+// by block in fixed-height chunks, and smooth conv inputs whose unfolded
+// rows repeat signatures the way natural images do.
 
 #ifndef ADR_TESTS_CLUSTERING_HARNESS_H_
 #define ADR_TESTS_CLUSTERING_HARNESS_H_
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -51,18 +52,36 @@ inline void ExpectSameClustering(const ReuseClustering& got,
   }
 }
 
-/// Runs one Begin/ConsumeTile/Finish cycle of `clusterer` over the
-/// num_rows x families.k() matrix `x` in tiles of `tile_rows` rows. The
-/// result lives in `clusterer` until its next Begin.
+/// Runs one Begin/ConsumeBlock/Finish cycle of `clusterer` over the
+/// num_rows x families.k() matrix `x`: each block's columns are copied
+/// into a chunk at the clusterer's padded stride and fed in chunks of
+/// `tile_rows` rows, blocks in ascending order or, with
+/// `descending_blocks`, from the last block down. The result lives in
+/// `clusterer` until its next Begin.
 inline const ReuseClustering& StreamClustering(
     const BlockLshFamilies& families, const float* x, int64_t num_rows,
     int64_t rows_per_group, int64_t tile_rows,
-    StreamingSubVectorClusterer* clusterer) {
+    StreamingSubVectorClusterer* clusterer, bool descending_blocks = false) {
   const int64_t k = families.k();
   clusterer->Begin(&families, num_rows, rows_per_group);
-  for (int64_t row = 0; row < num_rows; row += tile_rows) {
-    clusterer->ConsumeTile(x + row * k, row,
-                           std::min(tile_rows, num_rows - row));
+  const int64_t stride = clusterer->chunk_stride();
+  // Kept across calls, so steady cycles allocate nothing here either.
+  static std::vector<float> chunk;
+  chunk.resize(
+      std::max(chunk.size(), static_cast<size_t>(tile_rows * stride)));
+  const int64_t num_blocks = families.num_blocks();
+  for (int64_t i = 0; i < num_blocks; ++i) {
+    const int64_t b = descending_blocks ? num_blocks - 1 - i : i;
+    const int64_t offset = families.block_offset(b);
+    const int64_t length = families.block_length(b);
+    for (int64_t row = 0; row < num_rows; row += tile_rows) {
+      const int64_t rows = std::min(tile_rows, num_rows - row);
+      for (int64_t r = 0; r < rows; ++r) {
+        std::memcpy(chunk.data() + r * stride, x + (row + r) * k + offset,
+                    sizeof(float) * static_cast<size_t>(length));
+      }
+      clusterer->ConsumeBlock(b, chunk.data(), stride, row, rows);
+    }
   }
   return clusterer->Finish();
 }

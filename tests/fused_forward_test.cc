@@ -36,10 +36,10 @@ constexpr int kThreadCounts[] = {1, 2, 8};
 
 using testutil::ThreadCountGuard;
 
-// Geometry chosen so the fused path runs several L2 tiles whose
-// boundaries do NOT align with the per-image group boundaries:
-// K = 32*5*5 = 800 gives L2TileRows = 64, while each 7x7 image
-// contributes 49 rows.
+// Geometry chosen so the fused path walks each block in several chunks
+// whose boundaries do NOT align with the per-image group boundaries:
+// K = 32*5*5 = 800, and at L = 100 or 160 a chunk holds 36 or 24 rows,
+// while each 7x7 image contributes 49 rows.
 ConvGeometry MultiTileGeometry(int64_t batch) {
   ConvGeometry geo;
   geo.batch = batch;
@@ -53,7 +53,7 @@ ConvGeometry MultiTileGeometry(int64_t batch) {
   return geo;
 }
 
-// Small single-tile geometry (K = 27, all rows fit in one tile).
+// Small single-chunk geometry (K = 27, all rows fit in one chunk).
 ConvGeometry SingleTileGeometry(int64_t batch) {
   ConvGeometry geo;
   geo.batch = batch;
@@ -65,6 +65,12 @@ ConvGeometry SingleTileGeometry(int64_t batch) {
   geo.stride = 1;
   geo.pad = 1;
   return geo;
+}
+
+// Rows per block chunk of the forward at sub-vector length `length`.
+int64_t ChunkRowsAt(int64_t length) {
+  return StreamingSubVectorClusterer::ChunkRows(
+      StreamingSubVectorClusterer::ChunkStride(length));
 }
 
 // Runs both paths on one input and checks bitwise equality of signatures,
@@ -132,7 +138,7 @@ TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
   const ConvGeometry geo = MultiTileGeometry(4);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
-  ASSERT_GT(n, L2TileRows(k)) << "geometry must span several tiles";
+  ASSERT_GT(n, ChunkRowsAt(100)) << "geometry must span several chunks";
 
   Rng rng(11);
   const Tensor input = Tensor::RandomGaussian(
@@ -157,8 +163,8 @@ TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
 
 TEST(FusedForwardTest, MatchesMaterializedAtCifarNetReuseShape) {
   // The benchmarked CifarNet conv2 setting: K = 800 split into 80 blocks
-  // of L = 10 with H = 11, so each 64-row tile is hashed block by block
-  // in place at stride K. Batch and per-image scope.
+  // of L = 10 with H = 11, so 80 blocks share the worker chunks and each
+  // is walked in 256-row chunks. Batch and per-image scope.
   ThreadCountGuard guard;
   const ConvGeometry geo = MultiTileGeometry(3);
   const int64_t n = geo.unfolded_rows();
@@ -193,7 +199,7 @@ TEST(FusedForwardTest, MatchesMaterializedAtCifarNetReuseShape) {
 TEST(FusedForwardTest, MatchesMaterializedWithSignatureCappedTables) {
   // 2^H < rows_per_group caps the clusterer's table at 2 * 2^H slots
   // instead of 2 * rows_per_group: H = 3 against 49-row images (per-image
-  // scope, 4 group resets, several landing mid-tile) and H = 4 against the
+  // scope, 4 group resets, several landing mid-chunk) and H = 4 against the
   // whole 196-row batch.
   ThreadCountGuard guard;
   const ConvGeometry geo = MultiTileGeometry(4);
@@ -257,25 +263,23 @@ TEST(FusedForwardTest, CappedTablesStayBitIdenticalAcrossCycles) {
                  " rows_per_group=" + std::to_string(rows_per_group));
     const ReuseClustering reference = ReferenceClusterSubVectors(
         *families, cols.data(), n, rows_per_group);
-    reused.Begin(families, n, rows_per_group);
-    for (int64_t row = 0; row < n; row += 37) {
-      const int64_t rows = std::min<int64_t>(37, n - row);
-      reused.ConsumeTile(cols.data() + row * k, row, rows);
-    }
-    ExpectSameClustering(reused.Finish(), reference);
+    ExpectSameClustering(
+        testutil::StreamClustering(*families, cols.data(), n, rows_per_group,
+                                   /*tile_rows=*/37, &reused),
+        reference);
   }
 }
 
 TEST(FusedForwardTest, MatchesMaterializedWithMisalignedGroupBoundaries) {
-  // Per-image scope: 49-row groups vs 64-row tiles, so the signature
-  // table resets of the streaming clusterer land mid-tile. N = 196 and
-  // 245 leave partial last tiles of 4 and 53 rows.
+  // Per-image scope: 49-row groups vs 24-row chunks (L = 160), so the
+  // signature table resets of the streaming clusterer land mid-chunk.
+  // N = 196 and 245 leave partial last chunks of 4 and 5 rows.
   for (const int64_t batch : {4, 5}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     const ConvGeometry geo = MultiTileGeometry(batch);
     const int64_t k = geo.unfolded_cols();
-    ASSERT_NE(geo.rows_per_image() % L2TileRows(k), 0);
-    ASSERT_NE(geo.unfolded_rows() % L2TileRows(k), 0);
+    ASSERT_NE(geo.rows_per_image() % ChunkRowsAt(160), 0);
+    ASSERT_NE(geo.unfolded_rows() % ChunkRowsAt(160), 0);
 
     Rng rng(12);
     const Tensor input = Tensor::RandomGaussian(
@@ -292,6 +296,7 @@ TEST(FusedForwardTest, MatchesMaterializedWithMisalignedGroupBoundaries) {
 }
 
 TEST(FusedForwardTest, MatchesMaterializedSingleTile) {
+  // One chunk per block: N = 128 rows, 9 floats padded to stride 16.
   const ConvGeometry geo = SingleTileGeometry(2);
   const int64_t k = geo.unfolded_cols();
   Rng rng(13);

@@ -1,8 +1,11 @@
 // Tests for ConvGeometry, Im2Col and Col2Im, including the adjoint
 // property <Im2Col(x), g> == <x, Col2Im(g)> that backpropagation relies on,
-// and bitwise agreement of the clipped-run fold with a per-tap fold.
+// bitwise agreement of the clipped-run fold with a per-tap fold, and of
+// the column-range unfold with Im2Col's columns.
 
+#include <cstring>
 #include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -113,6 +116,100 @@ TEST(Im2ColTest, BatchRowsAreContiguousPerImage) {
   // Second image's first patch starts at row rows_per_image().
   const int64_t row = geo.rows_per_image();
   EXPECT_EQ(cols.at(row, 0), input.at4(1, 0, 0, 0));
+}
+
+// Im2Col by its definition, one tap at a time.
+Tensor NaiveIm2Col(const ConvGeometry& geo, const Tensor& input) {
+  Tensor cols(Shape({geo.unfolded_rows(), geo.unfolded_cols()}));
+  int64_t row = 0;
+  for (int64_t n = 0; n < geo.batch; ++n) {
+    for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+      for (int64_t ox = 0; ox < geo.out_width(); ++ox, ++row) {
+        int64_t col = 0;
+        for (int64_t c = 0; c < geo.in_channels; ++c) {
+          for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
+            for (int64_t kx = 0; kx < geo.kernel_w; ++kx, ++col) {
+              const int64_t y = oy * geo.stride - geo.pad + ky;
+              const int64_t x = ox * geo.stride - geo.pad + kx;
+              const bool inside = y >= 0 && y < geo.in_height && x >= 0 &&
+                                  x < geo.in_width;
+              cols.at(row, col) = inside ? input.at4(n, c, y, x) : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+struct ColumnSliceCase {
+  int64_t channels, size, kernel, stride, pad, length;
+};
+
+TEST(Im2ColColumnsTest, SlicesEqualIm2ColColumnsAndKeepPadding) {
+  // Kernels 3 and 5 (and one 11 wide, past the fixed-width runs), pad 0
+  // and 2, stride 1 and 2. Blocks of L = 7 against kw = 5 start and end
+  // inside kernel rows; blocks of L = 10 straddle channels, and K = 75
+  // (conv1) leaves a short last block.
+  std::vector<ColumnSliceCase> cases;
+  for (const int64_t kernel : {3, 5}) {
+    for (const int64_t stride : {1, 2}) {
+      for (const int64_t pad : {0, 2}) {
+        for (const int64_t length : {7, 10}) {
+          cases.push_back({3, 9, kernel, stride, pad, length});
+        }
+      }
+    }
+  }
+  cases.push_back({2, 12, 11, 1, 3, 13});
+  constexpr float kSentinel = -777.0f;
+  for (const ColumnSliceCase& c : cases) {
+    const ConvGeometry geo =
+        MakeGeometry(2, c.channels, c.size, c.kernel, c.stride, c.pad);
+    ASSERT_TRUE(geo.Validate().ok());
+    SCOPED_TRACE("kernel=" + std::to_string(c.kernel) +
+                 " stride=" + std::to_string(c.stride) +
+                 " pad=" + std::to_string(c.pad) +
+                 " L=" + std::to_string(c.length));
+    Rng rng(static_cast<uint64_t>(c.kernel * 100 + c.stride * 10 + c.pad));
+    const Tensor input = Tensor::RandomGaussian(
+        Shape({2, c.channels, c.size, c.size}), &rng);
+    Tensor cols(Shape({geo.unfolded_rows(), geo.unfolded_cols()}));
+    Im2Col(geo, input, &cols);
+    const Tensor naive = NaiveIm2Col(geo, input);
+    ASSERT_EQ(std::memcmp(cols.data(), naive.data(),
+                          sizeof(float) * cols.num_elements()),
+              0);
+
+    const int64_t n = geo.unfolded_rows();
+    const int64_t k = geo.unfolded_cols();
+    const int64_t per_image = geo.rows_per_image();
+    // Whole range, and ranges starting and ending mid-image.
+    const std::pair<int64_t, int64_t> ranges[] = {
+        {0, n}, {3, n - 2}, {per_image / 2, per_image + 3}, {n - 1, n}};
+    const int64_t stride = (c.length + 7) / 8 * 8 + 3;  // padded, odd
+    for (int64_t col = 0; col < k; col += c.length) {
+      const int64_t width = std::min(c.length, k - col);
+      for (const auto& [begin, end] : ranges) {
+        std::vector<float> out(static_cast<size_t>((end - begin) * stride),
+                               kSentinel);
+        Im2ColColumns(geo, input.data(), begin, end, col, col + width,
+                      out.data(), stride);
+        for (int64_t r = begin; r < end; ++r) {
+          const float* got = out.data() + (r - begin) * stride;
+          ASSERT_EQ(std::memcmp(got, cols.data() + r * k + col,
+                                sizeof(float) * width),
+                    0)
+              << "row " << r << " columns [" << col << ", " << col + width
+              << ")";
+          for (int64_t j = width; j < stride; ++j) {
+            ASSERT_EQ(got[j], kSentinel) << "padding lane " << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 class Im2ColAdjointSweep

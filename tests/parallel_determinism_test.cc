@@ -125,9 +125,9 @@ TEST(ParallelDeterminismTest, ReuseConv2dBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, StreamingClustererBitIdenticalAcrossThreads) {
-  // CifarNet conv2's shape at L = 10, H = 11: 80 blocks and 64-row tiles,
-  // so both per-tile phases split their blocks over several chunks. Every
-  // thread count must reproduce the materialized reference bit for bit.
+  // CifarNet conv2's shape at L = 10, H = 11: 80 blocks, each walked in
+  // the forward's 256-row chunks. Every thread count must reproduce the
+  // materialized reference bit for bit.
   ThreadCountGuard guard;
   const ConvGeometry geo = testutil::SameConvGeometry(16, 32, 16, 5);
   const int64_t n = geo.unfolded_rows();
@@ -144,7 +144,10 @@ TEST(ParallelDeterminismTest, StreamingClustererBitIdenticalAcrossThreads) {
     // Two cycles: the second runs on the first one's buffers.
     for (int cycle = 0; cycle < 2; ++cycle) {
       const ReuseClustering& got = testutil::StreamClustering(
-          *families, cols.data(), n, n, L2TileRows(k), &clusterer);
+          *families, cols.data(), n, n,
+          StreamingSubVectorClusterer::ChunkRows(
+              StreamingSubVectorClusterer::ChunkStride(10)),
+          &clusterer);
       testutil::ExpectSameClustering(got, oracle);
     }
   }

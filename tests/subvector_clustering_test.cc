@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "core/reuse_config.h"
 #include "core/reuse_conv2d.h"
@@ -150,8 +151,8 @@ TEST(BlockLshFamiliesTest, BlocksUseDistinctHyperplanes) {
 using testutil::ExpectSameClustering;
 using testutil::StreamClustering;
 
-// The production clusterer over a materialized matrix, in 7-row tiles so
-// most inputs below span several tiles.
+// The production clusterer over a materialized matrix, in 7-row chunks so
+// most inputs below span several chunks.
 ReuseClustering Cluster(const BlockLshFamilies& families, const float* x,
                         int64_t num_rows, int64_t rows_per_group) {
   StreamingSubVectorClusterer clusterer;
@@ -307,7 +308,7 @@ TEST(StreamingClustererTest, MatchesOracleOnBothSidesOfIdentityKeyRule) {
     ASSERT_TRUE(families.ok());
     const ReuseClustering oracle = ReferenceClusterSubVectors(
         *families, x.data(), num_rows, c.rows_per_group);
-    // 37-row tiles: group boundaries land mid-tile.
+    // 37-row chunks: group boundaries land mid-chunk.
     const ReuseClustering& got = StreamClustering(
         *families, x.data(), num_rows, c.rows_per_group, 37, &reused);
     EXPECT_EQ(reused.identity_keys(), c.identity_keys);
@@ -316,12 +317,13 @@ TEST(StreamingClustererTest, MatchesOracleOnBothSidesOfIdentityKeyRule) {
 }
 
 TEST(StreamingClustererTest, SingleInputGroupsSplitMidTileAtConv1Shape) {
-  // CifarNet conv1 under kSingleInput: K = 75 gives 655-row tiles, each
-  // 32x32 image is a 1024-row group, so group resets fall inside tiles.
+  // CifarNet conv1 under kSingleInput: K = 75 is 8 blocks, the last 5
+  // wide, and each 32x32 image is a 1024-row group. The forward's
+  // 256-row chunks align with the groups; 655-row chunks put the group
+  // resets inside chunks.
   const ConvGeometry geo = testutil::SameConvGeometry(4, 3, 32, 5);
   const int64_t k = geo.unfolded_cols();
-  const int64_t tile_rows = L2TileRows(k);
-  ASSERT_EQ(tile_rows, 655);
+  const int64_t tile_rows = 655;
   ASSERT_EQ(geo.rows_per_image(), 1024);
   const Tensor cols = testutil::SmoothUnfolded(geo, 31);
   auto families = BlockLshFamilies::Create(k, 10, 11, 21);
@@ -337,9 +339,38 @@ TEST(StreamingClustererTest, SingleInputGroupsSplitMidTileAtConv1Shape) {
   ExpectSameClustering(got, oracle);
 }
 
+TEST(StreamingClustererTest, BlocksInDescendingOrderMatchOracle) {
+  // Blocks are independent: feeding them last to first, in 7-row chunks
+  // against 36-row image groups (resets land mid-chunk), and with a
+  // short last block (K = 36 at L = 10), still reproduces the reference
+  // under both table kinds.
+  const ConvGeometry geo = testutil::SameConvGeometry(3, 4, 6, 3);
+  const int64_t k = geo.unfolded_cols();
+  const int64_t n = geo.unfolded_rows();
+  const int64_t group = geo.rows_per_image();
+  ASSERT_NE(group % 7, 0);
+  const Tensor cols = testutil::SmoothUnfolded(geo, 37);
+  StreamingSubVectorClusterer clusterer;
+  for (const auto& [num_hashes, identity] :
+       {std::pair<int, bool>{5, true}, std::pair<int, bool>{11, false}}) {
+    SCOPED_TRACE("H=" + std::to_string(num_hashes));
+    auto families = BlockLshFamilies::Create(k, 10, num_hashes, 24);
+    ASSERT_TRUE(families.ok());
+    ASSERT_EQ(families->block_length(families->num_blocks() - 1), 6);
+    const ReuseClustering oracle =
+        ReferenceClusterSubVectors(*families, cols.data(), n, group);
+    const ReuseClustering& got =
+        StreamClustering(*families, cols.data(), n, group, /*tile_rows=*/7,
+                         &clusterer, /*descending_blocks=*/true);
+    EXPECT_EQ(clusterer.identity_keys(), identity);
+    ExpectSameClustering(got, oracle);
+  }
+}
+
 TEST(StreamingClustererTest, SteadyCyclesMakeNoHeapAllocations) {
   // CifarNet conv2's shape: 16 images of 32x16x16, 5x5 kernel, so
-  // N = 4096, K = 800 and 64-row tiles over 80 blocks at L = 10, H = 11.
+  // N = 4096, K = 800 and the forward's 256-row chunks over 80 blocks at
+  // L = 10, H = 11.
   const ConvGeometry geo = testutil::SameConvGeometry(16, 32, 16, 5);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
@@ -348,7 +379,9 @@ TEST(StreamingClustererTest, SteadyCyclesMakeNoHeapAllocations) {
   ASSERT_TRUE(families.ok());
   StreamingSubVectorClusterer clusterer;
   const auto cycle = [&] {
-    StreamClustering(*families, cols.data(), n, n, L2TileRows(k),
+    StreamClustering(*families, cols.data(), n, n,
+                     StreamingSubVectorClusterer::ChunkRows(
+                         StreamingSubVectorClusterer::ChunkStride(10)),
                      &clusterer);
   };
   // Two warm-up cycles bring every buffer to its steady capacity.
