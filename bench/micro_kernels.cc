@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the substrate kernels the reuse
-// savings are measured against: GEMM, im2col, LSH hashing, and the full
-// clustered matmul vs its dense equivalent.
+// savings are measured against: GEMM, im2col, LSH hashing, the full
+// clustered matmul vs its dense equivalent, and the ReLU and max-pool
+// layers between the convolutions.
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column), so scaling of the parallel runtime is read
@@ -14,6 +15,8 @@
 #include "bench_json_main.h"
 #include "clustering/normalize.h"
 #include "core/clustered_matmul.h"
+#include "nn/activations.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
@@ -281,6 +284,49 @@ void ClusteredForwardArgs(benchmark::internal::Benchmark* bench) {
   }
 }
 BENCHMARK(BM_ClusteredForward)->Apply(ClusteredForwardArgs);
+
+// The glue layers after conv1 at its output shape [16, 32, 32, 32]:
+// ReLU, then 2x2 / stride-2 max pooling. training = 1 also records what
+// Backward reads (the ReLU mask, the pool's window codes).
+Tensor Conv1Output() {
+  Rng rng(6);
+  return Tensor::RandomGaussian(Shape({16, 32, 32, 32}), &rng);
+}
+
+void GlueArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"threads", "training"});
+  for (const int64_t training : {0, 1}) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, training});
+    }
+  }
+}
+
+void BM_ReluForward(benchmark::State& state) {
+  SetupThreads(state);
+  const bool training = state.range(1) != 0;
+  const Tensor x = Conv1Output();
+  Relu relu("relu");
+  for (auto _ : state) {
+    Tensor y = relu.Forward(x, training);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.num_elements());
+}
+BENCHMARK(BM_ReluForward)->Apply(GlueArgs);
+
+void BM_MaxPoolForward(benchmark::State& state) {
+  SetupThreads(state);
+  const bool training = state.range(1) != 0;
+  const Tensor x = Conv1Output();
+  MaxPool2d pool("pool", PoolConfig{2, 2});
+  for (auto _ : state) {
+    Tensor y = pool.Forward(x, training);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.num_elements());
+}
+BENCHMARK(BM_MaxPoolForward)->Apply(GlueArgs);
 
 }  // namespace
 }  // namespace adr

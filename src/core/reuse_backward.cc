@@ -110,11 +110,12 @@ void GatherRow(const BlockDelta* deltas, int64_t num_blocks, int64_t row,
 }
 
 // Everything of the reuse backward except expanding dx: grad_bias,
-// grad_weight and each block's centroid delta, returned as one BlockDelta
-// per block (bumped from `scratch`, like the deltas themselves).
+// grad_weight and, when `input_delta` is set, each block's centroid
+// delta, returned as one BlockDelta per block (bumped from `scratch`,
+// like the deltas themselves; null without `input_delta`).
 const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
                                  const Tensor& weight, const float* dy,
-                                 ScratchAllocator* scratch,
+                                 bool input_delta, ScratchAllocator* scratch,
                                  float* grad_weight, float* grad_bias,
                                  BackwardReuseStats* stats) {
   const int64_t n = clustering.num_rows;
@@ -135,7 +136,8 @@ const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
   float* sums = scratch->Floats(max_clusters * m);
   const RowSumsScratch row_sums(scratch, n, max_clusters);
   const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
-  BlockDelta* deltas = scratch->Array<BlockDelta>(num_blocks);
+  BlockDelta* deltas =
+      input_delta ? scratch->Array<BlockDelta>(num_blocks) : nullptr;
 
   for (int64_t b = 0; b < num_blocks; ++b) {
     const SubMatrixClustering& block =
@@ -157,6 +159,7 @@ const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
     GemmTransA(block.centroids.data(), sums,
                grad_weight + block.col_offset * m, length, num_clusters, m);
     stats->macs += static_cast<double>(num_clusters) * length * m;
+    if (!input_delta) continue;
 
     // dy_{c,sa}: average instead of sum (divide each row by N_l).
     ParallelFor(num_clusters, GrainForCost(m),
@@ -178,7 +181,8 @@ const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
     deltas[b] = BlockDelta{dx_c, block.clustering.assignment.data(), length,
                            block.col_offset};
   }
-  stats->macs_baseline = 2.0 * static_cast<double>(n) * k * m;
+  stats->macs_baseline =
+      (input_delta ? 2.0 : 1.0) * static_cast<double>(n) * k * m;
   return deltas;
 }
 
@@ -200,10 +204,11 @@ void ReuseBackwardFoldInto(const ReuseClustering& clustering,
   ADR_CHECK_EQ(geo.unfolded_cols(), clustering.num_cols);
   Timer timer;
   ScratchAllocator scratch(arena);
-  const BlockDelta* deltas = CentroidDeltas(
-      clustering, weight, dy, &scratch, grad_weight, grad_bias, stats);
+  const BlockDelta* deltas =
+      CentroidDeltas(clustering, weight, dy, grad_input != nullptr, &scratch,
+                     grad_weight, grad_bias, stats);
   const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
-  {
+  if (grad_input != nullptr) {
     ADR_TRACE_SPAN("fold_col2im");
     float* row_bufs = scratch.Floats(geo.batch * geo.unfolded_cols());
     Col2ImRows(geo, grad_input, row_bufs,
@@ -230,9 +235,9 @@ BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
   result.grad_x = Tensor(Shape({n, k}));
   ScratchAllocator scratch(/*arena=*/nullptr);
   const BlockDelta* deltas =
-      CentroidDeltas(clustering, weight, dy.data(), &scratch,
-                     result.grad_weight.data(), result.grad_bias.data(),
-                     &result.stats);
+      CentroidDeltas(clustering, weight, dy.data(), /*input_delta=*/true,
+                     &scratch, result.grad_weight.data(),
+                     result.grad_bias.data(), &result.stats);
   const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
   float* grad_x = result.grad_x.data();
   ParallelFor(n, GrainForCost(k), [&](int64_t begin, int64_t end) {

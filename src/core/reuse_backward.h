@@ -49,7 +49,8 @@ BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
 /// K-float buffer and added into `grad_input` ([Nb, Ic, Ih, Iw] of `geo`,
 /// fully overwritten) by Col2ImRows, so the N x K dx is never allocated.
 /// grad_input is bitwise equal to Col2Im of ReuseBackward's grad_x;
-/// grad_weight and grad_bias are the same as there.
+/// grad_weight and grad_bias are the same as there. A null `grad_input`
+/// skips the input delta (the centroid deltas dx_c and the fold).
 void ReuseBackwardFoldInto(const ReuseClustering& clustering,
                            const Tensor& weight, const float* dy,
                            const ConvGeometry& geo, WorkspaceArena* arena,

@@ -152,7 +152,8 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   PublishCacheMetrics();
   PublishWorkspaceMetrics();
 
-  Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
+  Tensor out = Tensor::Uninitialized(
+      Shape({batch, m, geo.out_height(), geo.out_width()}));
   RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
   return out;
 }
@@ -256,6 +257,16 @@ void ReuseConv2d::PublishCacheMetrics() {
 }
 
 Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
+  Tensor grad_input;
+  RunBackward(grad_output, &grad_input);
+  return grad_input;
+}
+
+void ReuseConv2d::BackwardParameters(const Tensor& grad_output) {
+  RunBackward(grad_output, /*grad_input=*/nullptr);
+}
+
+void ReuseConv2d::RunBackward(const Tensor& grad_output, Tensor* grad_input) {
   ADR_TRACE_SPAN("ReuseConv2d::Backward");
   ADR_CHECK_GT(cached_batch_, 0)
       << "Backward requires a preceding training-mode Forward";
@@ -270,18 +281,19 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     ADR_CHECK(cached_cols_data_ != nullptr)
         << "exact_backward requires the unfolded input cached in Forward";
     Timer timer;
-    Tensor grad_input =
-        ExactConvBackward(geo, cached_cols_data_, weight_, grad_output,
-                          &arena_, &grad_weight_, &grad_bias_);
+    ExactConvBackward(geo, cached_cols_data_, weight_, grad_output, &arena_,
+                      &grad_weight_, &grad_bias_, grad_input);
     const double seconds = timer.ElapsedSeconds();
+    const double macs = (grad_input != nullptr ? 2.0 : 1.0) *
+                        static_cast<double>(n) * k * m;
     stats_.backward_seconds += seconds;
-    stats_.macs_executed += 2.0 * static_cast<double>(n) * k * m;
-    stats_.macs_baseline += 2.0 * static_cast<double>(n) * k * m;
+    stats_.macs_executed += macs;
+    stats_.macs_baseline += macs;
     MetricsRegistry::Global()
         .histogram(metric_prefix_ + "backward_seconds")
         ->Record(seconds);
     PublishWorkspaceMetrics();
-    return grad_input;
+    return;
   }
 
   // The centroid deltas fold straight into grad_input; the N x K input
@@ -293,12 +305,15 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
                                           geo.out_width()}));
   float* dy = arena_.AllocFloats(n * m);
   NchwToRows(grad_output, dy);
-  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
-                           config_.in_height, config_.in_width}));
+  if (grad_input != nullptr) {
+    *grad_input = Tensor(Shape({cached_batch_, config_.in_channels,
+                                config_.in_height, config_.in_width}));
+  }
   BackwardReuseStats bstats;
   ReuseBackwardFoldInto(*backward_clustering_, weight_, dy, geo, &arena_,
                         grad_weight_.data(), grad_bias_.data(),
-                        grad_input.data(), &bstats);
+                        grad_input != nullptr ? grad_input->data() : nullptr,
+                        &bstats);
   stats_.backward_seconds += bstats.seconds;
   stats_.macs_executed += bstats.macs;
   stats_.macs_baseline += bstats.macs_baseline;
@@ -306,7 +321,6 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
       .histogram(metric_prefix_ + "backward_seconds")
       ->Record(bstats.seconds);
   PublishWorkspaceMetrics();
-  return grad_input;
 }
 
 double ReuseConv2d::ForwardMacs(int64_t batch) const {

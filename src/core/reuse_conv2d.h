@@ -34,6 +34,7 @@ class ReuseConv2d : public Layer {
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParameters(const Tensor& grad_output) override;
   std::vector<Tensor*> Parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Gradients() override {
     return {&grad_weight_, &grad_bias_};
@@ -129,6 +130,10 @@ class ReuseConv2d : public Layer {
   ReuseLayerStats stats_;
 
   void RebuildFamilies();
+
+  /// Backward and BackwardParameters: fills the parameter gradients and,
+  /// when `grad_input` is not null, the input gradient.
+  void RunBackward(const Tensor& grad_output, Tensor* grad_input);
 
   /// Unfolds `input` into an arena-owned [N, K] matrix (span "im2col",
   /// histogram im2col_seconds) and returns it.

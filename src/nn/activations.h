@@ -9,7 +9,8 @@
 
 namespace adr {
 
-/// \brief Rectified linear unit, y = max(0, x).
+/// \brief Rectified linear unit, y = x > 0 ? x : +0 (simd::Kernels::relu).
+/// Only a training-mode Forward keeps the mask Backward needs.
 class Relu : public Layer {
  public:
   explicit Relu(std::string name) : name_(std::move(name)) {}
@@ -20,7 +21,8 @@ class Relu : public Layer {
 
  private:
   std::string name_;
-  Tensor mask_;  ///< 1 where input > 0, else 0
+  Tensor mask_;  ///< 1 where input > 0, else 0; kept across steps
+  bool has_mask_ = false;  ///< the last Forward was in training mode
 };
 
 /// \brief Hyperbolic tangent.

@@ -92,15 +92,16 @@ Tensor ExactConvForward(const ConvGeometry& geo, const Tensor& input,
   }
 
   AddRowBias(bias.data(), y, n, m);
-  Tensor out(Shape({geo.batch, m, geo.out_height(), geo.out_width()}));
+  Tensor out = Tensor::Uninitialized(
+      Shape({geo.batch, m, geo.out_height(), geo.out_width()}));
   RowsToNchw(y, geo.batch, m, geo.out_height(), geo.out_width(), out.data());
   return out;
 }
 
-Tensor ExactConvBackward(const ConvGeometry& geo, const float* cols,
-                         const Tensor& weight, const Tensor& grad_output,
-                         WorkspaceArena* arena, Tensor* grad_weight,
-                         Tensor* grad_bias) {
+void ExactConvBackward(const ConvGeometry& geo, const float* cols,
+                       const Tensor& weight, const Tensor& grad_output,
+                       WorkspaceArena* arena, Tensor* grad_weight,
+                       Tensor* grad_bias, Tensor* grad_input) {
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   const int64_t m = weight.shape()[1];
@@ -112,14 +113,14 @@ Tensor ExactConvBackward(const ConvGeometry& geo, const float* cols,
   // dW = x^T * dy  (Eq. 2); db = column sums of dy.
   GemmTransA(cols, dy, grad_weight->data(), k, n, m);
   ColumnSumsInto(dy, n, m, grad_bias->data());
+  if (grad_input == nullptr) return;
 
   // dx_cols = dy * W^T  (Eq. 3), folded back through col2im.
   float* dx_cols = arena->AllocFloats(n * k);
   GemmTransB(dy, weight.data(), dx_cols, n, m, k);
-  Tensor grad_input(
-      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}));
-  Col2Im(geo, dx_cols, grad_input.data());
-  return grad_input;
+  *grad_input =
+      Tensor(Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}));
+  Col2Im(geo, dx_cols, grad_input->data());
 }
 
 Conv2d::Conv2d(std::string name, const Conv2dConfig& config, Rng* rng)
@@ -163,9 +164,19 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   ADR_CHECK_GT(cached_batch_, 0)
       << "Backward requires a preceding training-mode Forward";
-  return ExactConvBackward(config_.Geometry(cached_batch_),
-                           cached_cols_.data(), weight_, grad_output, &arena_,
-                           &grad_weight_, &grad_bias_);
+  Tensor grad_input;
+  ExactConvBackward(config_.Geometry(cached_batch_), cached_cols_.data(),
+                    weight_, grad_output, &arena_, &grad_weight_, &grad_bias_,
+                    &grad_input);
+  return grad_input;
+}
+
+void Conv2d::BackwardParameters(const Tensor& grad_output) {
+  ADR_CHECK_GT(cached_batch_, 0)
+      << "Backward requires a preceding training-mode Forward";
+  ExactConvBackward(config_.Geometry(cached_batch_), cached_cols_.data(),
+                    weight_, grad_output, &arena_, &grad_weight_, &grad_bias_,
+                    /*grad_input=*/nullptr);
 }
 
 double Conv2d::ForwardMacs(int64_t batch) const {

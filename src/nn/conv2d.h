@@ -60,12 +60,13 @@ Tensor ExactConvForward(const ConvGeometry& geo, const Tensor& input,
 
 /// \brief The exact backward from the unfolded input `cols` (N x K) that
 /// ExactConvForward filled: overwrites `grad_weight` = cols^T * dy
-/// (Eq. 2) and `grad_bias` = column sums of dy, and returns the NCHW input
-/// gradient, col2im(dy * weight^T) (Eq. 3). Scratch comes from `arena`.
-Tensor ExactConvBackward(const ConvGeometry& geo, const float* cols,
-                         const Tensor& weight, const Tensor& grad_output,
-                         WorkspaceArena* arena, Tensor* grad_weight,
-                         Tensor* grad_bias);
+/// (Eq. 2) and `grad_bias` = column sums of dy, and, when `grad_input` is
+/// not null, sets it to the NCHW input gradient col2im(dy * weight^T)
+/// (Eq. 3). Scratch comes from `arena`.
+void ExactConvBackward(const ConvGeometry& geo, const float* cols,
+                       const Tensor& weight, const Tensor& grad_output,
+                       WorkspaceArena* arena, Tensor* grad_weight,
+                       Tensor* grad_bias, Tensor* grad_input);
 
 /// \brief Standard convolution layer.
 class Conv2d : public Layer {
@@ -75,6 +76,7 @@ class Conv2d : public Layer {
   std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParameters(const Tensor& grad_output) override;
   std::vector<Tensor*> Parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Gradients() override {
     return {&grad_weight_, &grad_bias_};

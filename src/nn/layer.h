@@ -17,9 +17,10 @@ namespace adr {
 
 /// \brief Abstract base for all network layers.
 ///
-/// Protocol: Forward must be called before Backward for the same batch;
-/// Backward accumulates nothing across calls (parameter gradients are
-/// overwritten each time).
+/// Protocol: a training-mode Forward must be called before Backward for
+/// the same batch (an eval Forward keeps no backward state); Backward
+/// accumulates nothing across calls (parameter gradients are overwritten
+/// each time).
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -34,6 +35,14 @@ class Layer {
   /// \brief Computes the gradient w.r.t. the layer input given the gradient
   /// w.r.t. the output, and fills parameter gradients.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
+
+  /// \brief Fills the parameter gradients bitwise as Backward does but
+  /// need not compute the input gradient: the first layer of a training
+  /// step, whose input gradient nothing reads, runs this. Layers whose
+  /// input gradient costs little keep this default, a full Backward.
+  virtual void BackwardParameters(const Tensor& grad_output) {
+    Backward(grad_output);
+  }
 
   /// \brief Learnable parameters (empty for stateless layers).
   virtual std::vector<Tensor*> Parameters() { return {}; }

@@ -25,6 +25,16 @@ Tensor Network::Backward(const Tensor& grad_output) {
   return current;
 }
 
+void Network::BackwardParameters(const Tensor& grad_output) {
+  ADR_TRACE_SPAN("Network::Backward");
+  ADR_CHECK(!layers_.empty());
+  Tensor current = grad_output;
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    current = layers_[i]->Backward(current);
+  }
+  layers_.front()->BackwardParameters(current);
+}
+
 std::vector<Tensor*> Network::Parameters() const {
   std::vector<Tensor*> params;
   for (const auto& layer : layers_) {

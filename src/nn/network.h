@@ -35,6 +35,11 @@ class Network {
   /// gradient w.r.t. the network input.
   Tensor Backward(const Tensor& grad_output);
 
+  /// \brief The training step's backward: fills every parameter gradient
+  /// bitwise as Backward does, but the first layer computes no input
+  /// gradient (Layer::BackwardParameters).
+  void BackwardParameters(const Tensor& grad_output);
+
   /// \brief All learnable parameters, layer order.
   std::vector<Tensor*> Parameters() const;
 

@@ -16,7 +16,12 @@ struct PoolConfig {
   int64_t stride = 2;
 };
 
-/// \brief Max pooling; remembers argmax positions for the backward pass.
+/// \brief Max pooling. A window's elements are scanned in row-major order
+/// and the first strict maximum wins; NaN never wins, and a window of NaN
+/// or -inf outputs -inf and routes its gradient to its first element.
+/// 2x2 / stride-2 pooling runs simd::Kernels::max_pool_2x2 and its
+/// backward; other windows run a generic loop. Only a training-mode
+/// Forward records the winners Backward needs.
 class MaxPool2d : public Layer {
  public:
   MaxPool2d(std::string name, const PoolConfig& config)
@@ -30,7 +35,15 @@ class MaxPool2d : public Layer {
   std::string name_;
   PoolConfig config_;
   Shape input_shape_;
-  std::vector<int64_t> argmax_;  ///< flat input index per output element
+  bool trained_ = false;  ///< the last Forward was in training mode
+  /// 2x2 / stride 2: the winner's window element (0..3) per output.
+  std::vector<uint8_t> codes_;
+  /// Other windows: the winner's index within its input plane per output.
+  std::vector<int32_t> argmax_;
+
+  bool Is2x2Stride2() const {
+    return config_.kernel == 2 && config_.stride == 2;
+  }
 };
 
 /// \brief Average pooling.

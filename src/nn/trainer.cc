@@ -15,7 +15,7 @@ StepResult TrainStep(Network* network, Optimizer* optimizer,
   Timer timer;
   const Tensor logits = network->Forward(batch.images, /*training=*/true);
   const LossResult loss = SoftmaxCrossEntropy(logits, batch.labels);
-  network->Backward(loss.grad_logits);
+  network->BackwardParameters(loss.grad_logits);
   {
     ADR_TRACE_SPAN("Optimizer::Step");
     optimizer->Step(network->Parameters(), network->Gradients());

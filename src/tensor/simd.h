@@ -3,7 +3,8 @@
 // Every dense inner loop the library spends its time in (the GEMM
 // microkernels, LSH sign projections, row normalization, the
 // cluster gather/scatter adds and the backward sum/average reductions)
-// funnels through the small table of primitives below. The table has one
+// funnels through the small table of primitives below, as do the ReLU and
+// max-pool layers between the convolutions. The table has one
 // implementation per instruction set:
 //
 //   scalar — always built, always tested; the golden reference the
@@ -117,6 +118,31 @@ struct Kernels {
   void (*lsh_sign_project)(const float* x, int64_t ldx, int64_t rows,
                            const float* panel, int64_t dim, int64_t h_padded,
                            int num_hashes, uint64_t* out);
+  /// ReLU: y[i] = x[i] > 0 ? x[i] : +0, so NaN, -0 and +0 all give +0.
+  /// When `mask` is not null, mask[i] = x[i] > 0 ? 1 : +0 as well. No
+  /// branch per element (AVX2 `max(x, +0)`, a compare-and-select on
+  /// NEON). Bitwise equal on every backend.
+  void (*relu)(const float* x, float* y, float* mask, int64_t n);
+  /// y[i] = a[i] * b[i]; bitwise equal on every backend. ReLU's backward
+  /// multiplies by its mask with this.
+  void (*mul)(const float* a, const float* b, float* y, int64_t n);
+  /// 2x2 / stride-2 max pooling of `planes` row-major ih x iw planes at x
+  /// into (ih / 2) x (iw / 2) planes at y, a last odd row or column left
+  /// out. A window's elements e0..e3 are scanned in row-major order from
+  /// best = -inf, taking e_j when e_j > best: the first strict maximum
+  /// wins ties, NaN is never taken, and a window of NaN or -inf yields
+  /// -inf. When `codes` is not null, codes[o] receives the j of output
+  /// o's winner (0 if none). Bitwise equal on every backend.
+  void (*max_pool_2x2)(const float* x, int64_t planes, int64_t ih,
+                       int64_t iw, float* y, uint8_t* codes);
+  /// The backward of max_pool_2x2: overwrites all `planes` ih x iw
+  /// planes of dx, writing +0 + dy[o] at the element codes[o] names in
+  /// output o's window and +0 everywhere else (a left-out odd row or
+  /// column included). One dense pass: no zero-fill, no scatter.
+  /// Bitwise equal to zero-filling dx and adding each dy[o] into it.
+  void (*max_pool_2x2_backward)(const float* dy, const uint8_t* codes,
+                                int64_t planes, int64_t ih, int64_t iw,
+                                float* dx);
 };
 
 /// \brief The scalar backend. Always available.

@@ -10,7 +10,15 @@
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
 //   Fma(a, b, acc) = a * b + acc, ReduceAdd(v),
 //   SignBits(v) — bit l set iff lane l > 0 (false for NaN),
-//   Transpose(v) — transposes the kWidth x kWidth tile in v[0..kWidth).
+//   Transpose(v) — transposes the kWidth x kWidth tile in v[0..kWidth),
+//   using Cmp, CmpGt(a, b) and CmpEq(a, b) — per-lane a > b and a == b,
+//     false when either lane is NaN,
+//   Select(m, a, b) — per lane m ? a : b,
+//   Max(a, b) — per lane a > b ? a : b (b when either is NaN),
+//   LoadPairs(p, &even, &odd) — the even and odd floats of p[0..2 kWidth),
+//   StorePairs(p, even, odd) — the inverse, interleaving into p,
+//   LoadBytes(p) / StoreBytes(p, v) — kWidth bytes to and from lanes
+//     holding small non-negative integers.
 // Vector Ops (kWidth > 1) also provide a partial-register interface:
 //   using Mask, TailMask(count) for 0 < count < kWidth,
 //   MaskLoad(p, mask) — lanes >= count read as zero, never touched,
@@ -24,6 +32,7 @@
 #define ADR_TENSOR_SIMD_KERNELS_INL_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "tensor/simd.h"
 
@@ -36,7 +45,12 @@
 
 namespace adr::simd::detail {
 
-struct ScalarOps {
+// One float per "register". The vector kernels run their remainder lanes
+// through ScalarLanes<TheirOps>: a distinct type per backend, so no scalar
+// instantiation compiled with one backend's ISA flags can stand in for
+// another backend's (template instantiations are merged at link time).
+template <typename Backend>
+struct ScalarLanes {
   using Reg = float;
   static constexpr int kWidth = 1;
   static Reg Zero() { return 0.0f; }
@@ -49,7 +63,24 @@ struct ScalarOps {
   static float ReduceAdd(Reg v) { return v; }
   static uint32_t SignBits(Reg v) { return v > 0.0f ? 1u : 0u; }
   static void Transpose(Reg*) {}
+  using Cmp = bool;
+  static Cmp CmpGt(Reg a, Reg b) { return a > b; }
+  static Cmp CmpEq(Reg a, Reg b) { return a == b; }
+  static Reg Select(Cmp m, Reg a, Reg b) { return m ? a : b; }
+  static Reg Max(Reg a, Reg b) { return a > b ? a : b; }
+  static void LoadPairs(const float* p, Reg* even, Reg* odd) {
+    *even = p[0];
+    *odd = p[1];
+  }
+  static void StorePairs(float* p, Reg even, Reg odd) {
+    p[0] = even;
+    p[1] = odd;
+  }
+  static Reg LoadBytes(const uint8_t* p) { return static_cast<float>(*p); }
+  static void StoreBytes(uint8_t* p, Reg v) { *p = static_cast<uint8_t>(v); }
 };
+
+using ScalarOps = ScalarLanes<void>;
 
 #if defined(__AVX2__) && defined(__FMA__)
 struct Avx2Ops {
@@ -117,6 +148,43 @@ struct Avx2Ops {
     v[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
     v[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
   }
+  using Cmp = __m256;
+  static Cmp CmpGt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static Cmp CmpEq(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_EQ_OQ); }
+  static Reg Select(Cmp m, Reg a, Reg b) { return _mm256_blendv_ps(b, a, m); }
+  // vmaxps returns its second operand unless the first is greater.
+  static Reg Max(Reg a, Reg b) { return _mm256_max_ps(a, b); }
+  static void LoadPairs(const float* p, Reg* even, Reg* odd) {
+    // shuffle_ps picks within 128-bit halves, giving 64-bit quarters
+    // (lo0 lo2)(hi0 hi2)(lo4 lo6)(hi4 hi6); the permute puts them in
+    // order 0, 2, 1, 3.
+    const Reg lo = _mm256_loadu_ps(p);
+    const Reg hi = _mm256_loadu_ps(p + kWidth);
+    *even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0x88)), 0xD8));
+    *odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(lo, hi, 0xDD)), 0xD8));
+  }
+  static void StorePairs(float* p, Reg even, Reg odd) {
+    // unpack interleaves within 128-bit halves: (e0 o0 e1 o1 | e4 o4 e5 o5)
+    // and (e2 o2 e3 o3 | e6 o6 e7 o7).
+    const Reg t0 = _mm256_unpacklo_ps(even, odd);
+    const Reg t1 = _mm256_unpackhi_ps(even, odd);
+    _mm256_storeu_ps(p, _mm256_permute2f128_ps(t0, t1, 0x20));
+    _mm256_storeu_ps(p + kWidth, _mm256_permute2f128_ps(t0, t1, 0x31));
+  }
+  static Reg LoadBytes(const uint8_t* p) {
+    return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+  }
+  static void StoreBytes(uint8_t* p, Reg v) {
+    const __m256i words = _mm256_cvttps_epi32(v);
+    const __m128i halves =
+        _mm_packs_epi32(_mm256_castsi256_si128(words),
+                        _mm256_extracti128_si256(words, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm_packus_epi16(halves, halves));
+  }
 };
 #endif  // __AVX2__ && __FMA__
 
@@ -164,6 +232,35 @@ struct NeonOps {
     v[1] = vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
     v[2] = vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
     v[3] = vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
+  }
+  using Cmp = uint32x4_t;
+  static Cmp CmpGt(Reg a, Reg b) { return vcgtq_f32(a, b); }
+  static Cmp CmpEq(Reg a, Reg b) { return vceqq_f32(a, b); }
+  static Reg Select(Cmp m, Reg a, Reg b) { return vbslq_f32(m, a, b); }
+  // Not vmaxq_f32: it returns NaN when either lane is NaN.
+  static Reg Max(Reg a, Reg b) { return vbslq_f32(vcgtq_f32(a, b), a, b); }
+  static void LoadPairs(const float* p, Reg* even, Reg* odd) {
+    const float32x4x2_t pairs = vld2q_f32(p);
+    *even = pairs.val[0];
+    *odd = pairs.val[1];
+  }
+  static void StorePairs(float* p, Reg even, Reg odd) {
+    float32x4x2_t pairs;
+    pairs.val[0] = even;
+    pairs.val[1] = odd;
+    vst2q_f32(p, pairs);
+  }
+  static Reg LoadBytes(const uint8_t* p) {
+    const float lanes[kWidth] = {static_cast<float>(p[0]),
+                                 static_cast<float>(p[1]),
+                                 static_cast<float>(p[2]),
+                                 static_cast<float>(p[3])};
+    return vld1q_f32(lanes);
+  }
+  static void StoreBytes(uint8_t* p, Reg v) {
+    float lanes[kWidth];
+    vst1q_f32(lanes, v);
+    for (int l = 0; l < kWidth; ++l) p[l] = static_cast<uint8_t>(lanes[l]);
   }
 };
 #endif  // __ARM_NEON
@@ -544,6 +641,165 @@ void LshSignProjectImpl(const float* x, int64_t ldx, int64_t rows,
 }
 
 template <typename Ops>
+void ReluImpl(const float* x, float* y, float* mask, int64_t n) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  const Reg zero = Ops::Zero();
+  int64_t i = 0;
+  if (mask == nullptr) {
+#pragma GCC unroll 4
+    for (; i + kW <= n; i += kW) {
+      Ops::Store(y + i, Ops::Max(Ops::Load(x + i), zero));
+    }
+  } else {
+    const Reg one = Ops::Broadcast(1.0f);
+#pragma GCC unroll 4
+    for (; i + kW <= n; i += kW) {
+      const Reg v = Ops::Load(x + i);
+      const typename Ops::Cmp positive = Ops::CmpGt(v, zero);
+      Ops::Store(y + i, Ops::Select(positive, v, zero));
+      Ops::Store(mask + i, Ops::Select(positive, one, zero));
+    }
+  }
+  if constexpr (kW > 1) {
+    if (i < n) {
+      ReluImpl<ScalarLanes<Ops>>(x + i, y + i,
+                                 mask == nullptr ? nullptr : mask + i, n - i);
+    }
+  }
+}
+
+template <typename Ops>
+void MulImpl(const float* a, const float* b, float* y, int64_t n) {
+  constexpr int64_t kW = Ops::kWidth;
+  int64_t i = 0;
+#pragma GCC unroll 4
+  for (; i + kW <= n; i += kW) {
+    Ops::Store(y + i, Ops::Mul(Ops::Load(a + i), Ops::Load(b + i)));
+  }
+  for (; i < n; ++i) y[i] = a[i] * b[i];
+}
+
+// One output row of 2x2 max pooling: output ox reads top[2 ox], top[2 ox +
+// 1], bottom[2 ox], bottom[2 ox + 1]. LoadPairs splits each input row into
+// its even and odd columns, so one register holds one window element of
+// kWidth outputs. The scan is a compare-and-select chain, no branch.
+template <typename Ops>
+void MaxPoolRow(const float* top, const float* bottom, int64_t ow, float* y,
+                uint8_t* codes) {
+  using Reg = typename Ops::Reg;
+  using Cmp = typename Ops::Cmp;
+  constexpr int64_t kW = Ops::kWidth;
+  const Reg neg_inf = Ops::Broadcast(-std::numeric_limits<float>::infinity());
+  int64_t ox = 0;
+  if (codes == nullptr) {
+    for (; ox + kW <= ow; ox += kW) {
+      Reg e0, e1, e2, e3;
+      Ops::LoadPairs(top + 2 * ox, &e0, &e1);
+      Ops::LoadPairs(bottom + 2 * ox, &e2, &e3);
+      const Reg best = Ops::Max(e0, neg_inf);
+      Ops::Store(y + ox, Ops::Max(e3, Ops::Max(e2, Ops::Max(e1, best))));
+    }
+  } else {
+    const Reg one = Ops::Broadcast(1.0f);
+    const Reg two = Ops::Broadcast(2.0f);
+    const Reg three = Ops::Broadcast(3.0f);
+    for (; ox + kW <= ow; ox += kW) {
+      Reg e0, e1, e2, e3;
+      Ops::LoadPairs(top + 2 * ox, &e0, &e1);
+      Ops::LoadPairs(bottom + 2 * ox, &e2, &e3);
+      Reg best = Ops::Max(e0, neg_inf);
+      Reg code = Ops::Zero();
+      const Cmp gt1 = Ops::CmpGt(e1, best);
+      best = Ops::Select(gt1, e1, best);
+      code = Ops::Select(gt1, one, code);
+      const Cmp gt2 = Ops::CmpGt(e2, best);
+      best = Ops::Select(gt2, e2, best);
+      code = Ops::Select(gt2, two, code);
+      const Cmp gt3 = Ops::CmpGt(e3, best);
+      best = Ops::Select(gt3, e3, best);
+      code = Ops::Select(gt3, three, code);
+      Ops::Store(y + ox, best);
+      Ops::StoreBytes(codes + ox, code);
+    }
+  }
+  if constexpr (kW > 1) {
+    if (ox < ow) {
+      MaxPoolRow<ScalarLanes<Ops>>(top + 2 * ox, bottom + 2 * ox, ow - ox,
+                                   y + ox,
+                                   codes == nullptr ? nullptr : codes + ox);
+    }
+  }
+}
+
+template <typename Ops>
+void MaxPool2x2Impl(const float* x, int64_t planes, int64_t ih, int64_t iw,
+                    float* y, uint8_t* codes) {
+  const int64_t oh = ih / 2;
+  const int64_t ow = iw / 2;
+  for (int64_t p = 0; p < planes; ++p) {
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      const float* top = x + (p * ih + 2 * oy) * iw;
+      const int64_t o = (p * oh + oy) * ow;
+      MaxPoolRow<Ops>(top, top + iw, ow, y + o,
+                      codes == nullptr ? nullptr : codes + o);
+    }
+  }
+}
+
+// One output row of the 2x2 max-pool backward: window element j of output
+// ox gets +0 + dy[ox] where codes[ox] == j and +0 elsewhere; StorePairs
+// interleaves elements 0/1 into the top row and 2/3 into the bottom row.
+// +0 + g is g except that -0 becomes +0, as in adding g into a zeroed dx.
+template <typename Ops>
+void MaxPoolRowBackward(const float* dy, const uint8_t* codes, int64_t ow,
+                        float* top, float* bottom) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  const Reg zero = Ops::Zero();
+  const Reg one = Ops::Broadcast(1.0f);
+  const Reg two = Ops::Broadcast(2.0f);
+  const Reg three = Ops::Broadcast(3.0f);
+  int64_t ox = 0;
+  for (; ox + kW <= ow; ox += kW) {
+    const Reg g = Ops::Add(zero, Ops::Load(dy + ox));
+    const Reg code = Ops::LoadBytes(codes + ox);
+    Ops::StorePairs(top + 2 * ox, Ops::Select(Ops::CmpEq(code, zero), g, zero),
+                    Ops::Select(Ops::CmpEq(code, one), g, zero));
+    Ops::StorePairs(bottom + 2 * ox,
+                    Ops::Select(Ops::CmpEq(code, two), g, zero),
+                    Ops::Select(Ops::CmpEq(code, three), g, zero));
+  }
+  if constexpr (kW > 1) {
+    if (ox < ow) {
+      MaxPoolRowBackward<ScalarLanes<Ops>>(dy + ox, codes + ox, ow - ox,
+                                           top + 2 * ox, bottom + 2 * ox);
+    }
+  }
+}
+
+template <typename Ops>
+void MaxPool2x2BackwardImpl(const float* dy, const uint8_t* codes,
+                            int64_t planes, int64_t ih, int64_t iw,
+                            float* dx) {
+  const int64_t oh = ih / 2;
+  const int64_t ow = iw / 2;
+  for (int64_t p = 0; p < planes; ++p) {
+    float* plane = dx + p * ih * iw;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      float* top = plane + 2 * oy * iw;
+      float* bottom = top + iw;
+      const int64_t o = (p * oh + oy) * ow;
+      MaxPoolRowBackward<Ops>(dy + o, codes + o, ow, top, bottom);
+      // A last odd column lies in no window.
+      for (int64_t x = 2 * ow; x < iw; ++x) top[x] = bottom[x] = 0.0f;
+    }
+    // As does a last odd row.
+    for (int64_t i = 2 * oh * iw; i < ih * iw; ++i) plane[i] = 0.0f;
+  }
+}
+
+template <typename Ops>
 Kernels MakeKernels(Isa isa, const char* name) {
   static_assert(kMaxWidth % Ops::kWidth == 0 && 64 % Ops::kWidth == 0,
                 "sign-projection lanes must tile the panel and the words");
@@ -562,6 +818,10 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.transpose = &TransposeImpl<Ops>;
   kernels.gemm_block = &GemmBlockImpl<Ops>;
   kernels.lsh_sign_project = &LshSignProjectImpl<Ops>;
+  kernels.relu = &ReluImpl<Ops>;
+  kernels.mul = &MulImpl<Ops>;
+  kernels.max_pool_2x2 = &MaxPool2x2Impl<Ops>;
+  kernels.max_pool_2x2_backward = &MaxPool2x2BackwardImpl<Ops>;
   return kernels;
 }
 

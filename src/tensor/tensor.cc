@@ -1,14 +1,43 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 namespace adr {
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  ADR_CHECK_EQ(static_cast<int64_t>(data_.size()), shape_.num_elements())
+namespace {
+
+void CopyFloats(const float* from, size_t n, float* to) {
+  if (n > 0) std::memcpy(to, from, n * sizeof(float));
+}
+
+}  // namespace
+
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : Tensor(std::move(shape), UninitializedTag{}) {
+  ADR_CHECK_EQ(static_cast<int64_t>(data.size()), shape_.num_elements())
       << "data size does not match shape " << shape_.ToString();
+  CopyFloats(data.data(), data.size(), data_.data());
+}
+
+Tensor::Tensor(const Tensor& other)
+    : Tensor(other.shape_, UninitializedTag{}) {
+  CopyFloats(other.data_.data(), other.data_.size(), data_.data());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  shape_ = other.shape_;
+  // Emptied first, so a reallocation copies nothing.
+  data_.clear();
+  data_.resize(other.data_.size());
+  CopyFloats(other.data_.data(), other.data_.size(), data_.data());
+  return *this;
+}
+
+Tensor Tensor::Uninitialized(Shape shape) {
+  return Tensor(std::move(shape), UninitializedTag{});
 }
 
 Tensor Tensor::Full(Shape shape, float value) {
@@ -50,7 +79,9 @@ Tensor Tensor::Reshaped(Shape new_shape) const {
   ADR_CHECK_EQ(new_shape.num_elements(), num_elements())
       << "reshape to " << new_shape.ToString() << " from "
       << shape_.ToString();
-  return Tensor(std::move(new_shape), data_);
+  Tensor t(*this);
+  t.shape_ = std::move(new_shape);
+  return t;
 }
 
 void Tensor::Fill(float value) {

@@ -6,7 +6,10 @@
 #define ADR_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -14,6 +17,32 @@
 #include "util/rng.h"
 
 namespace adr {
+
+namespace detail {
+
+/// \brief std::allocator whose value-less construct default-initializes,
+/// so resizing a vector of floats leaves them unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 /// \brief Dense row-major float tensor with value semantics.
 class Tensor {
@@ -26,7 +55,18 @@ class Tensor {
       : shape_(std::move(shape)),
         data_(static_cast<size_t>(shape_.num_elements()), 0.0f) {}
 
-  Tensor(Shape shape, std::vector<float> data);
+  Tensor(Shape shape, const std::vector<float>& data);
+
+  // Copies move the floats with memcpy: the allocator's element-wise
+  // construct would copy them one at a time.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
+
+  /// \brief Tensor of the given shape whose elements are left unwritten,
+  /// for outputs a kernel overwrites in full.
+  static Tensor Uninitialized(Shape shape);
 
   /// \brief Tensor filled with a constant.
   static Tensor Full(Shape shape, float value);
@@ -84,8 +124,13 @@ class Tensor {
   std::string DebugString(int64_t max_elements = 16) const;
 
  private:
+  struct UninitializedTag {};
+  Tensor(Shape shape, UninitializedTag)
+      : shape_(std::move(shape)),
+        data_(static_cast<size_t>(shape_.num_elements())) {}
+
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, detail::DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace adr

@@ -4,11 +4,15 @@
 // neon when present) is swept over remainder-lane shapes and compared
 // against double-precision references or the scalar backend, with the
 // per-kernel tolerances documented in tests/kernel_harness.h and DESIGN.md
-// section 6.3. The suite closes with a finite-difference gradient check of
-// ReuseConv2d running end-to-end on the active (SIMD) backend.
+// section 6.3. The ReLU and max-pool kernels are also held bitwise to the
+// layer loops they replaced. The suite closes with a finite-difference
+// gradient check of ReuseConv2d running end-to-end on the active (SIMD)
+// backend.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -620,6 +624,223 @@ TEST(GoldenKernels, NormalizeRowsMatchesDoubleReference) {
                     original[static_cast<size_t>(i * stride + j)])
               << backend->name << " padding";
         }
+      }
+    }
+  }
+}
+
+// --- ReLU and 2x2 max pooling --------------------------------------------
+
+// Values that stress the glue kernels' contracts: NaN, both zeros, both
+// infinities, and a few repeated finite values so windows tie often.
+std::vector<float> SpecialValues(int64_t n, uint64_t seed) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kPool[] = {std::numeric_limits<float>::quiet_NaN(),
+                         0.0f, -0.0f, kInf, -kInf, 1.0f, -1.0f, 2.0f};
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) {
+    const uint64_t pick = rng.NextU64() % 12;
+    x = pick < 8 ? kPool[pick] : rng.NextGaussian();
+  }
+  return v;
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+// The ReLU layer's loop before it moved onto simd::Kernels.
+void LoopRelu(const float* x, float* y, float* mask, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    y[i] = x[i];
+    if (y[i] > 0.0f) {
+      mask[i] = 1.0f;
+    } else {
+      y[i] = 0.0f;
+      mask[i] = 0.0f;
+    }
+  }
+}
+
+// MaxPool2d's 2x2 / stride-2 loop before it moved onto simd::Kernels (the
+// winner's index seeded with the window's first element), returning the
+// winner as its window element 0..3.
+void LoopMaxPool2x2(const float* x, int64_t planes, int64_t ih, int64_t iw,
+                    float* y, uint8_t* codes) {
+  const int64_t oh = (ih - 2) / 2 + 1, ow = (iw - 2) / 2 + 1;
+  int64_t o = 0;
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* plane = x + p * ih * iw;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        int best_code = 0;
+        for (int64_t ky = 0; ky < 2; ++ky) {
+          for (int64_t kx = 0; kx < 2; ++kx) {
+            const float v = plane[(2 * oy + ky) * iw + 2 * ox + kx];
+            if (v > best) {
+              best = v;
+              best_code = static_cast<int>(2 * ky + kx);
+            }
+          }
+        }
+        y[o] = best;
+        codes[o] = static_cast<uint8_t>(best_code);
+        ++o;
+      }
+    }
+  }
+}
+
+// MaxPool2d's backward before: zero-fill dx, add each dy into its winner.
+void LoopMaxPool2x2Backward(const float* dy, const uint8_t* codes,
+                            int64_t planes, int64_t ih, int64_t iw,
+                            float* dx) {
+  const int64_t oh = ih / 2, ow = iw / 2;
+  std::fill(dx, dx + planes * ih * iw, 0.0f);
+  int64_t o = 0;
+  for (int64_t p = 0; p < planes; ++p) {
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        const int64_t ky = codes[o] / 2, kx = codes[o] % 2;
+        dx[(p * ih + 2 * oy + ky) * iw + 2 * ox + kx] += dy[o];
+        ++o;
+      }
+    }
+  }
+}
+
+TEST(GoldenKernels, ReluMatchesLayerLoopBitwise) {
+  // Every length up to three registers of the widest backend, so every
+  // tail of 1 to width - 1 lanes runs, plus the remainder sweep.
+  std::vector<int64_t> lengths;
+  for (int64_t n = 1; n <= 3 * simd::kMaxWidth; ++n) lengths.push_back(n);
+  for (const int64_t n : RemainderSizes()) lengths.push_back(n);
+  const float kSentinel = 99.0f;
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t n : lengths) {
+      const std::vector<float> x = SpecialValues(n, 1000 + n);
+      std::vector<float> want_y(static_cast<size_t>(n));
+      std::vector<float> want_mask(static_cast<size_t>(n));
+      LoopRelu(x.data(), want_y.data(), want_mask.data(), n);
+
+      std::vector<float> y(static_cast<size_t>(n) + 3, kSentinel);
+      std::vector<float> mask(static_cast<size_t>(n) + 3, kSentinel);
+      backend->relu(x.data(), y.data(), mask.data(), n);
+      EXPECT_TRUE(SameBits(y.data(), want_y.data(), n))
+          << backend->name << " n=" << n;
+      EXPECT_TRUE(SameBits(mask.data(), want_mask.data(), n))
+          << backend->name << " n=" << n;
+      for (size_t i = static_cast<size_t>(n); i < y.size(); ++i) {
+        EXPECT_EQ(y[i], kSentinel) << backend->name << " n=" << n;
+        EXPECT_EQ(mask[i], kSentinel) << backend->name << " n=" << n;
+      }
+
+      // Without a mask.
+      std::vector<float> eval_y(static_cast<size_t>(n));
+      backend->relu(x.data(), eval_y.data(), nullptr, n);
+      EXPECT_TRUE(SameBits(eval_y.data(), want_y.data(), n))
+          << backend->name << " no mask n=" << n;
+    }
+  }
+}
+
+TEST(GoldenKernels, MulMatchesScalarBitwise) {
+  for (const simd::Kernels* backend : Backends()) {
+    for (int64_t n = 1; n <= 3 * simd::kMaxWidth + 1; ++n) {
+      // a holds every special value; b is a ReLU mask or a random factor
+      // (never NaN, so which NaN operand propagates never comes up).
+      const std::vector<float> a = SpecialValues(n, 1100 + n);
+      std::vector<float> b = RandomVector(n, 1200 + n);
+      for (int64_t i = 0; i < n; i += 2) {
+        b[static_cast<size_t>(i)] = (i % 4 == 0) ? 0.0f : 1.0f;
+      }
+      std::vector<float> want(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        want[static_cast<size_t>(i)] =
+            a[static_cast<size_t>(i)] * b[static_cast<size_t>(i)];
+      }
+      std::vector<float> y(static_cast<size_t>(n) + 3, 99.0f);
+      backend->mul(a.data(), b.data(), y.data(), n);
+      EXPECT_TRUE(SameBits(y.data(), want.data(), n))
+          << backend->name << " n=" << n;
+      EXPECT_EQ(y[static_cast<size_t>(n)], 99.0f) << backend->name;
+
+      std::vector<float> scalar(static_cast<size_t>(n));
+      simd::Scalar().mul(a.data(), b.data(), scalar.data(), n);
+      EXPECT_TRUE(SameBits(y.data(), scalar.data(), n))
+          << backend->name << " n=" << n;
+    }
+  }
+}
+
+TEST(GoldenKernels, MaxPool2x2MatchesLayerLoopBitwise) {
+  // Output widths 1 .. 2 * kMaxWidth + 1 cover every tail on every
+  // backend; odd input sizes leave a last row and column out.
+  const float kSentinel = 99.0f;
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t ih : {2, 3, 4, 5}) {
+      for (int64_t iw = 2; iw <= 4 * simd::kMaxWidth + 3; ++iw) {
+        const int64_t planes = 3;
+        const int64_t oh = ih / 2, ow = iw / 2;
+        const int64_t in_n = planes * ih * iw, out_n = planes * oh * ow;
+        std::vector<float> x = SpecialValues(in_n, 1300 + ih * 100 + iw);
+        // Whole windows of NaN, of -inf, of signed zeros and of one tied
+        // value, in the first windows of plane 1.
+        const float kNan = std::numeric_limits<float>::quiet_NaN();
+        const float kInf = std::numeric_limits<float>::infinity();
+        const float fills[4][4] = {{kNan, kNan, kNan, kNan},
+                                   {-kInf, -kInf, -kInf, -kInf},
+                                   {-0.0f, 0.0f, -0.0f, 0.0f},
+                                   {kNan, 3.0f, -kInf, 3.0f}};
+        for (int64_t w = 0; w < std::min<int64_t>(4, ow); ++w) {
+          float* window = x.data() + ih * iw + 2 * w;
+          window[0] = fills[w][0];
+          window[1] = fills[w][1];
+          window[iw] = fills[w][2];
+          window[iw + 1] = fills[w][3];
+        }
+        std::vector<float> want_y(static_cast<size_t>(out_n));
+        std::vector<uint8_t> want_codes(static_cast<size_t>(out_n));
+        LoopMaxPool2x2(x.data(), planes, ih, iw, want_y.data(),
+                       want_codes.data());
+
+        std::vector<float> y(static_cast<size_t>(out_n) + 9, kSentinel);
+        std::vector<uint8_t> codes(static_cast<size_t>(out_n) + 9, 77);
+        backend->max_pool_2x2(x.data(), planes, ih, iw, y.data(),
+                              codes.data());
+        const std::string where = std::string(backend->name) +
+                                  " ih=" + std::to_string(ih) +
+                                  " iw=" + std::to_string(iw);
+        EXPECT_TRUE(SameBits(y.data(), want_y.data(), out_n)) << where;
+        EXPECT_TRUE(std::equal(want_codes.begin(), want_codes.end(),
+                               codes.begin()))
+            << where;
+        for (size_t i = static_cast<size_t>(out_n); i < y.size(); ++i) {
+          EXPECT_EQ(y[i], kSentinel) << where;
+          EXPECT_EQ(codes[i], 77) << where;
+        }
+
+        // Eval form: no codes, the same outputs.
+        std::vector<float> eval_y(static_cast<size_t>(out_n));
+        backend->max_pool_2x2(x.data(), planes, ih, iw, eval_y.data(),
+                              nullptr);
+        EXPECT_TRUE(SameBits(eval_y.data(), want_y.data(), out_n)) << where;
+
+        // Backward: every element of dx overwritten, bitwise as the
+        // zero-fill-and-add loop. dy holds special values too (-0 must
+        // come out +0, as 0 + -0 does).
+        const std::vector<float> dy = SpecialValues(out_n, 1400 + iw);
+        std::vector<float> want_dx(static_cast<size_t>(in_n));
+        LoopMaxPool2x2Backward(dy.data(), want_codes.data(), planes, ih, iw,
+                               want_dx.data());
+        std::vector<float> dx(static_cast<size_t>(in_n) + 9, kNan);
+        dx[static_cast<size_t>(in_n)] = kSentinel;
+        backend->max_pool_2x2_backward(dy.data(), want_codes.data(), planes,
+                                       ih, iw, dx.data());
+        EXPECT_TRUE(SameBits(dx.data(), want_dx.data(), in_n)) << where;
+        EXPECT_EQ(dx[static_cast<size_t>(in_n)], kSentinel) << where;
       }
     }
   }

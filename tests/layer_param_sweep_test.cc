@@ -146,7 +146,7 @@ TEST_P(PoolSweep, MaxPoolGradientSumsPreserved) {
   MaxPool2d pool("pool", PoolConfig{kernel, stride});
   Rng rng(9);
   Tensor in = Tensor::RandomGaussian(Shape({2, 3, 12, 12}), &rng);
-  Tensor out = pool.Forward(in, false);
+  Tensor out = pool.Forward(in, true);
   Tensor grad = Tensor::Ones(out.shape());
   Tensor gin = pool.Backward(grad);
   // Every unit of output gradient lands on exactly one input element.

@@ -367,6 +367,42 @@ TEST(StreamingClustererTest, BlocksInDescendingOrderMatchOracle) {
   }
 }
 
+TEST(StreamingClustererTest, ChunkRowsFillTheL1BudgetInRowTiles) {
+  using Clusterer = StreamingSubVectorClusterer;
+  // About 16 KiB per chunk: 256 rows at the benchmark's L = 10, 8 at
+  // L = 400, the 4-row hash tile from L = 513 on. Taller chunks at wide L
+  // spill L1 between the hash and the centroid sums and run slower.
+  EXPECT_EQ(Clusterer::ChunkRows(Clusterer::ChunkStride(10)), 256);
+  EXPECT_EQ(Clusterer::ChunkRows(Clusterer::ChunkStride(400)), 8);
+  EXPECT_EQ(Clusterer::ChunkRows(Clusterer::ChunkStride(513)), 4);
+  for (int64_t length = 1; length <= 8192; length = length * 3 / 2 + 1) {
+    const int64_t stride = Clusterer::ChunkStride(length);
+    const int64_t rows = Clusterer::ChunkRows(stride);
+    EXPECT_GE(rows, 4) << "L=" << length;
+    EXPECT_EQ(rows % 4, 0) << "L=" << length;
+    EXPECT_TRUE(rows == 4 || rows * stride * 4 <= 16 * 1024) << "L=" << length;
+  }
+}
+
+TEST(StreamingClustererTest, WideBlocksInForwardChunksMatchOracle) {
+  // L = 400 and a 200-wide last block, fed in the forward's chunk height
+  // (the last chunk partial), reproduce the reference clustering.
+  const int64_t k = 1000, n = 150;
+  const Tensor x = RedundantRows(n, k, 45);
+  auto families = BlockLshFamilies::Create(k, 400, 9, 26);
+  ASSERT_TRUE(families.ok());
+  ASSERT_EQ(families->num_blocks(), 3);
+  const int64_t chunk_rows = StreamingSubVectorClusterer::ChunkRows(
+      StreamingSubVectorClusterer::ChunkStride(400));
+  ASSERT_NE(n % chunk_rows, 0);
+  const ReuseClustering oracle =
+      ReferenceClusterSubVectors(*families, x.data(), n, n);
+  StreamingSubVectorClusterer clusterer;
+  ExpectSameClustering(
+      StreamClustering(*families, x.data(), n, n, chunk_rows, &clusterer),
+      oracle);
+}
+
 TEST(StreamingClustererTest, SteadyCyclesMakeNoHeapAllocations) {
   // CifarNet conv2's shape: 16 images of 32x16x16, 5x5 kernel, so
   // N = 4096, K = 800 and the forward's 256-row chunks over 80 blocks at
