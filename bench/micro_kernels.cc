@@ -10,10 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <cstring>
 
 #include "bench_json_main.h"
-#include "clustering/normalize.h"
 #include "core/clustered_matmul.h"
 #include "nn/activations.h"
 #include "nn/pooling.h"
@@ -108,32 +106,6 @@ void BM_GemmTransB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * k * m);
 }
 BENCHMARK(BM_GemmTransB)->Apply(GemmBackwardArgs);
-
-void BM_NormalizeRows(benchmark::State& state) {
-  SetupThreads(state);
-  const int64_t rows = 4096, dim = state.range(1);
-  Rng rng(7);
-  Tensor data = Tensor::RandomGaussian(Shape({rows, dim}), &rng);
-  Tensor scratch = data;
-  for (auto _ : state) {
-    // Copy + normalize per iteration so the kernel always sees
-    // unnormalized input (the copy is a fraction of the kernel cost).
-    std::memcpy(scratch.data(), data.data(),
-                static_cast<size_t>(rows * dim) * sizeof(float));
-    NormalizeRowsInPlace(scratch.data(), rows, dim, dim);
-    benchmark::DoNotOptimize(scratch.data());
-  }
-  state.SetItemsProcessed(state.iterations() * rows * dim);
-}
-void NormalizeRowsArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"threads", "dim"});
-  for (const int64_t dim : {int64_t{400}, int64_t{25}}) {
-    for (const int64_t threads : kThreadCounts) {
-      bench->Args({threads, dim});
-    }
-  }
-}
-BENCHMARK(BM_NormalizeRows)->Apply(NormalizeRowsArgs);
 
 void BM_Im2Col(benchmark::State& state) {
   SetupThreads(state);

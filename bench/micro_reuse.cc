@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the reuse kernels themselves:
-// forward clustering+GEMM, backward reuse vs exact backward, the cluster
-// reuse cache, and exact dedup as the trivial baseline.
+// forward clustering+GEMM, backward reuse vs exact backward, and the
+// cluster reuse cache.
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column); compare threads=1 vs threads=4 rows to read
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench_json_main.h"
-#include "clustering/exact_dedup.h"
 #include "core/cluster_cache_reference.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
@@ -530,19 +529,6 @@ void BM_ReuseConv2dBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * 4096 * 800 * 32);
 }
 BENCHMARK(BM_ReuseConv2dBackward)->Apply(ThreadsOnlyArgs);
-
-void BM_ExactDedup(benchmark::State& state) {
-  SetupThreads(state);
-  Workload& wl = SharedWorkload();
-  for (auto _ : state) {
-    Clustering clustering =
-        ExactDedupRows(wl.x.data(), Workload::kN, Workload::kK,
-                       Workload::kK);
-    benchmark::DoNotOptimize(clustering.assignment.data());
-  }
-  state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK);
-}
-BENCHMARK(BM_ExactDedup)->Apply(ThreadsOnlyArgs);
 
 }  // namespace
 }  // namespace adr

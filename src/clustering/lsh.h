@@ -1,7 +1,8 @@
 // Sign-random-projection LSH for angular distance (paper Section III-B).
 //
-// H Gaussian hyperplanes map each (L2-normalized) row vector to an H-bit
-// signature (Eq. 4); rows sharing a signature form a cluster. The signature
+// H Gaussian hyperplanes map each row vector to an H-bit signature
+// (Eq. 4); a sign is invariant under positive scaling, so rows need no
+// normalization. Rows sharing a signature form a cluster. The signature
 // doubles as the cross-batch cluster ID used by cluster reuse (Algorithm 1).
 
 #ifndef ADR_CLUSTERING_LSH_H_
@@ -111,11 +112,6 @@ class LshFamily {
 /// (indexed by cluster id), which cluster reuse uses as the cache key.
 Clustering ClusterBySignature(const std::vector<LshSignature>& row_signatures,
                               std::vector<LshSignature>* signatures_out);
-
-/// \brief Convenience: hash + group rows of an N x L matrix (stride = L).
-Clustering LshCluster(const LshFamily& family, const float* data,
-                      int64_t num_rows, int64_t row_stride,
-                      std::vector<LshSignature>* signatures_out = nullptr);
 
 }  // namespace adr
 

@@ -29,7 +29,7 @@ class Layer {
   virtual std::string name() const = 0;
 
   /// \brief Computes the layer output; `training` toggles train-only
-  /// behaviour (dropout masks, reuse statistics, ...).
+  /// behaviour (ReLU and pooling masks, reuse statistics, ...).
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
   /// \brief Computes the gradient w.r.t. the layer input given the gradient

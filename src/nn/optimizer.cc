@@ -6,29 +6,6 @@
 
 namespace adr {
 
-void Optimizer::ApplyWeightDecay(const std::vector<Tensor*>& params) {
-  if (weight_decay_ == 0.0f) return;
-  const float shrink = 1.0f - learning_rate_ * weight_decay_;
-  for (Tensor* param : params) {
-    float* p = param->data();
-    const int64_t n = param->num_elements();
-    for (int64_t j = 0; j < n; ++j) p[j] *= shrink;
-  }
-}
-
-void Sgd::Step(const std::vector<Tensor*>& params,
-               const std::vector<Tensor*>& grads) {
-  ADR_CHECK_EQ(params.size(), grads.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    float* p = params[i]->data();
-    const float* g = grads[i]->data();
-    const int64_t n = params[i]->num_elements();
-    ADR_CHECK_EQ(n, grads[i]->num_elements());
-    for (int64_t j = 0; j < n; ++j) p[j] -= learning_rate_ * g[j];
-  }
-  ApplyWeightDecay(params);
-}
-
 void MomentumSgd::Step(const std::vector<Tensor*>& params,
                        const std::vector<Tensor*>& grads) {
   ADR_CHECK_EQ(params.size(), grads.size());
@@ -47,7 +24,6 @@ void MomentumSgd::Step(const std::vector<Tensor*>& params,
       p[j] += v[j];
     }
   }
-  ApplyWeightDecay(params);
 }
 
 void Adam::Step(const std::vector<Tensor*>& params,
@@ -78,7 +54,6 @@ void Adam::Step(const std::vector<Tensor*>& params,
       p[j] -= step * m[j] / (std::sqrt(v[j]) + epsilon_);
     }
   }
-  ApplyWeightDecay(params);
 }
 
 }  // namespace adr

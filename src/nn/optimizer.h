@@ -23,28 +23,10 @@ class Optimizer {
   void set_learning_rate(float lr) { learning_rate_ = lr; }
   float learning_rate() const { return learning_rate_; }
 
-  /// \brief Decoupled weight decay (AdamW-style): after the gradient
-  /// update, parameters are shrunk by lr * weight_decay * p. 0 disables.
-  void set_weight_decay(float weight_decay) { weight_decay_ = weight_decay; }
-  float weight_decay() const { return weight_decay_; }
-
  protected:
   explicit Optimizer(float learning_rate) : learning_rate_(learning_rate) {}
 
-  /// Applies the decoupled decay term to all parameters.
-  void ApplyWeightDecay(const std::vector<Tensor*>& params);
-
   float learning_rate_;
-  float weight_decay_ = 0.0f;
-};
-
-/// \brief Plain stochastic gradient descent.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float learning_rate) : Optimizer(learning_rate) {}
-  std::string name() const override { return "sgd"; }
-  void Step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads) override;
 };
 
 /// \brief SGD with classical momentum: v = mu*v - lr*g; p += v.

@@ -127,68 +127,4 @@ Tensor MaxPool2d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor AvgPool2d::Forward(const Tensor& input, bool /*training*/) {
-  ADR_CHECK_EQ(input.shape().rank(), 4);
-  input_shape_ = input.shape();
-  const int64_t batch = input.shape()[0], channels = input.shape()[1];
-  const int64_t ih = input.shape()[2], iw = input.shape()[3];
-  const int64_t oh = PooledSize(ih, config_.kernel, config_.stride);
-  const int64_t ow = PooledSize(iw, config_.kernel, config_.stride);
-  const float inv = 1.0f / static_cast<float>(config_.kernel * config_.kernel);
-
-  Tensor out(Shape({batch, channels, oh, ow}));
-  const float* src = input.data();
-  float* dst = out.data();
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const float* plane = src + (n * channels + c) * ih * iw;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float sum = 0.0f;
-          for (int64_t ky = 0; ky < config_.kernel; ++ky) {
-            const int64_t y = oy * config_.stride + ky;
-            for (int64_t kx = 0; kx < config_.kernel; ++kx) {
-              sum += plane[y * iw + ox * config_.stride + kx];
-            }
-          }
-          dst[out_idx++] = sum * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor AvgPool2d::Backward(const Tensor& grad_output) {
-  ADR_CHECK_EQ(input_shape_.rank(), 4) << "Backward before Forward";
-  const int64_t batch = input_shape_[0], channels = input_shape_[1];
-  const int64_t ih = input_shape_[2], iw = input_shape_[3];
-  const int64_t oh = grad_output.shape()[2], ow = grad_output.shape()[3];
-  const float inv = 1.0f / static_cast<float>(config_.kernel * config_.kernel);
-
-  Tensor grad_input(input_shape_);
-  float* dst = grad_input.data();
-  const float* src = grad_output.data();
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      float* plane = dst + (n * channels + c) * ih * iw;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          const float g = src[out_idx++] * inv;
-          for (int64_t ky = 0; ky < config_.kernel; ++ky) {
-            const int64_t y = oy * config_.stride + ky;
-            for (int64_t kx = 0; kx < config_.kernel; ++kx) {
-              const int64_t x = ox * config_.stride + kx;
-              plane[y * iw + x] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 }  // namespace adr

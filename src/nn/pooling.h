@@ -46,22 +46,6 @@ class MaxPool2d : public Layer {
   }
 };
 
-/// \brief Average pooling.
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(std::string name, const PoolConfig& config)
-      : name_(std::move(name)), config_(config) {}
-
-  std::string name() const override { return name_; }
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-
- private:
-  std::string name_;
-  PoolConfig config_;
-  Shape input_shape_;
-};
-
 }  // namespace adr
 
 #endif  // ADR_NN_POOLING_H_

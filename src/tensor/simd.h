@@ -1,8 +1,8 @@
 // Portable SIMD kernel layer for the reuse hot paths.
 //
 // Every dense inner loop the library spends its time in (the GEMM
-// microkernels, LSH sign projections, row normalization, the
-// cluster gather/scatter adds and the backward sum/average reductions)
+// microkernels, LSH sign projections, the cluster gather/scatter adds and
+// the backward sum/average reductions)
 // funnels through the small table of primitives below, as do the ReLU and
 // max-pool layers between the convolutions. The table has one
 // implementation per instruction set:
@@ -53,12 +53,6 @@ struct Kernels {
   const char* name = "scalar";  ///< "scalar", "avx2" or "neon"
   int width = 1;                ///< float lanes per vector register
 
-  /// sum_i a[i] * b[i]
-  float (*dot)(const float* a, const float* b, int64_t n);
-  /// sum_i a[i]^2
-  float (*squared_norm)(const float* a, int64_t n);
-  /// y[i] += s * x[i]
-  void (*axpy)(float s, const float* x, float* y, int64_t n);
   /// y[i] += x[i]
   void (*add)(const float* x, float* y, int64_t n);
   /// Row sums with a fixed two-level order, the cluster row sums of the

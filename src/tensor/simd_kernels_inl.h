@@ -8,7 +8,7 @@
 //   using Reg            — the vector register type (float for scalar);
 //   static constexpr int kWidth — float lanes per register;
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
-//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v),
+//   Fma(a, b, acc) = a * b + acc,
 //   SignBits(v) — bit l set iff lane l > 0 (false for NaN),
 //   Transpose(v) — transposes the kWidth x kWidth tile in v[0..kWidth),
 //   using Cmp, CmpGt(a, b) and CmpEq(a, b) — per-lane a > b and a == b,
@@ -60,7 +60,6 @@ struct ScalarLanes {
   static Reg Add(Reg a, Reg b) { return a + b; }
   static Reg Mul(Reg a, Reg b) { return a * b; }
   static Reg Fma(Reg a, Reg b, Reg acc) { return a * b + acc; }
-  static float ReduceAdd(Reg v) { return v; }
   static uint32_t SignBits(Reg v) { return v > 0.0f ? 1u : 0u; }
   static void Transpose(Reg*) {}
   using Cmp = bool;
@@ -93,15 +92,6 @@ struct Avx2Ops {
   static Reg Add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return _mm256_fmadd_ps(a, b, acc); }
-  static float ReduceAdd(Reg v) {
-    // (lo + hi) then pairwise: a fixed, shape-independent reduction tree.
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 sum = _mm_add_ps(lo, hi);
-    sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
-    sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 0x1));
-    return _mm_cvtss_f32(sum);
-  }
   static uint32_t SignBits(Reg v) {
     return static_cast<uint32_t>(_mm256_movemask_ps(
         _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
@@ -199,7 +189,6 @@ struct NeonOps {
   static Reg Add(Reg a, Reg b) { return vaddq_f32(a, b); }
   static Reg Mul(Reg a, Reg b) { return vmulq_f32(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return vfmaq_f32(acc, a, b); }
-  static float ReduceAdd(Reg v) { return vaddvq_f32(v); }
   static uint32_t SignBits(Reg v) {
     float lanes[kWidth];
     vst1q_f32(lanes, v);
@@ -264,63 +253,6 @@ struct NeonOps {
   }
 };
 #endif  // __ARM_NEON
-
-template <typename Ops>
-float DotImpl(const float* a, const float* b, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  // Two accumulator chains hide FMA latency; combined once at the end so
-  // the reduction order is fixed by n alone.
-  Reg acc0 = Ops::Zero();
-  Reg acc1 = Ops::Zero();
-  int64_t i = 0;
-  for (; i + 2 * kW <= n; i += 2 * kW) {
-    acc0 = Ops::Fma(Ops::Load(a + i), Ops::Load(b + i), acc0);
-    acc1 = Ops::Fma(Ops::Load(a + i + kW), Ops::Load(b + i + kW), acc1);
-  }
-  if (i + kW <= n) {
-    acc0 = Ops::Fma(Ops::Load(a + i), Ops::Load(b + i), acc0);
-    i += kW;
-  }
-  float sum = Ops::ReduceAdd(Ops::Add(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-template <typename Ops>
-float SquaredNormImpl(const float* a, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  Reg acc0 = Ops::Zero();
-  Reg acc1 = Ops::Zero();
-  int64_t i = 0;
-  for (; i + 2 * kW <= n; i += 2 * kW) {
-    const Reg v0 = Ops::Load(a + i);
-    const Reg v1 = Ops::Load(a + i + kW);
-    acc0 = Ops::Fma(v0, v0, acc0);
-    acc1 = Ops::Fma(v1, v1, acc1);
-  }
-  if (i + kW <= n) {
-    const Reg v = Ops::Load(a + i);
-    acc0 = Ops::Fma(v, v, acc0);
-    i += kW;
-  }
-  float sum = Ops::ReduceAdd(Ops::Add(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * a[i];
-  return sum;
-}
-
-template <typename Ops>
-void AxpyImpl(float s, const float* x, float* y, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  const Reg sv = Ops::Broadcast(s);
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Fma(sv, Ops::Load(x + i), Ops::Load(y + i)));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
 
 template <typename Ops>
 void AddImpl(const float* x, float* y, int64_t n) {
@@ -807,9 +739,6 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.isa = isa;
   kernels.name = name;
   kernels.width = Ops::kWidth;
-  kernels.dot = &DotImpl<Ops>;
-  kernels.squared_norm = &SquaredNormImpl<Ops>;
-  kernels.axpy = &AxpyImpl<Ops>;
   kernels.add = &AddImpl<Ops>;
   kernels.segment_row_sums = &SegmentRowSumsImpl<Ops>;
   kernels.scatter_add_rows = &ScatterAddRowsImpl<Ops>;

@@ -1,14 +1,10 @@
-// Tests for the clustering substrate: LSH, signature grouping, centroids,
-// scatter, normalization and cluster stats.
-
-#include <cmath>
+// Tests for the clustering substrate: LSH, signature grouping and
+// centroids.
 
 #include <gtest/gtest.h>
 
-#include "clustering/cluster_stats.h"
 #include "clustering/clustering.h"
 #include "clustering/lsh.h"
-#include "clustering/normalize.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -170,53 +166,6 @@ TEST(ComputeCentroidsTest, RespectsRowStride) {
   Tensor centroids = ComputeCentroids(data.data(), 2, 2, 4, c);
   EXPECT_FLOAT_EQ(centroids.at(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(centroids.at(0, 1), 3.0f);
-}
-
-TEST(NormalizeTest, RowsBecomeUnitNorm) {
-  Tensor data(Shape({2, 3}), {3, 4, 0, 0, 0, 5});
-  NormalizeRowsInPlace(data.data(), 2, 3, 3);
-  EXPECT_NEAR(data.at(0, 0), 0.6f, 1e-6f);
-  EXPECT_NEAR(data.at(0, 1), 0.8f, 1e-6f);
-  EXPECT_NEAR(data.at(1, 2), 1.0f, 1e-6f);
-}
-
-TEST(NormalizeTest, ZeroRowLeftUnchanged) {
-  Tensor data(Shape({1, 3}));
-  NormalizeRowsInPlace(data.data(), 1, 3, 3);
-  EXPECT_EQ(data.at(0), 0.0f);
-}
-
-TEST(AngularDistanceTest, KnownValues) {
-  const float a[2] = {1.0f, 0.0f};
-  const float b[2] = {0.0f, 1.0f};
-  const float c[2] = {2.0f, 0.0f};
-  const float neg[2] = {-1.0f, 0.0f};
-  EXPECT_NEAR(AngularDistance(a, b, 2), std::sqrt(2.0), 1e-6);
-  EXPECT_NEAR(AngularDistance(a, c, 2), 0.0, 1e-6);  // scale invariant
-  EXPECT_NEAR(AngularDistance(a, neg, 2), 2.0, 1e-6);
-}
-
-TEST(AngularDistanceTest, DegenerateZeroVectors) {
-  const float zero[2] = {0.0f, 0.0f};
-  const float a[2] = {1.0f, 0.0f};
-  EXPECT_EQ(AngularDistance(zero, zero, 2), 0.0);
-  EXPECT_EQ(AngularDistance(zero, a, 2), 2.0);
-}
-
-TEST(ClusterStatsTest, CountsAndRatios) {
-  Tensor data(Shape({4, 2}), {1, 0, 1, 0.01f, 0, 1, 5, 5});
-  Clustering c;
-  c.assignment = {0, 0, 1, 2};
-  c.cluster_sizes = {2, 1, 1};
-  const ClusterStats stats = ComputeClusterStats(data.data(), 4, 2, 2, c);
-  EXPECT_EQ(stats.num_rows, 4);
-  EXPECT_EQ(stats.num_clusters, 3);
-  EXPECT_DOUBLE_EQ(stats.remaining_ratio, 0.75);
-  EXPECT_EQ(stats.largest_cluster, 2);
-  EXPECT_EQ(stats.singleton_clusters, 2);
-  // Singletons sit on their centroid; only cluster 0 contributes distance.
-  EXPECT_GT(stats.mean_intra_distance, 0.0);
-  EXPECT_LT(stats.mean_intra_distance, 0.01);
 }
 
 }  // namespace

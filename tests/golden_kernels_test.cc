@@ -23,7 +23,6 @@
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "clustering/lsh.h"
-#include "clustering/normalize.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -35,13 +34,10 @@
 namespace adr {
 namespace {
 
-using testutil::AbsDot;
 using testutil::Backends;
 using testutil::RandomVector;
 using testutil::ReductionTolerance;
-using testutil::RefDot;
 using testutil::RefGemm;
-using testutil::RefSquaredNorm;
 using testutil::RemainderSizes;
 
 TEST(GoldenKernels, AtLeastScalarIsAvailable) {
@@ -52,31 +48,6 @@ TEST(GoldenKernels, AtLeastScalarIsAvailable) {
   for (const simd::Kernels* backend : Backends()) {
     EXPECT_GE(backend->width, 1) << backend->name;
     EXPECT_NE(backend->name, nullptr);
-  }
-}
-
-TEST(GoldenKernels, DotMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> a = RandomVector(n, 100 + n);
-      const std::vector<float> b = RandomVector(n, 200 + n);
-      const double expected = RefDot(a.data(), b.data(), n);
-      const double tolerance = ReductionTolerance(AbsDot(a.data(), b.data(), n), n);
-      EXPECT_NEAR(backend->dot(a.data(), b.data(), n), expected, tolerance)
-          << backend->name << " n=" << n;
-    }
-  }
-}
-
-TEST(GoldenKernels, SquaredNormMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> a = RandomVector(n, 300 + n);
-      const double expected = RefSquaredNorm(a.data(), n);
-      const double tolerance = ReductionTolerance(expected, n);
-      EXPECT_NEAR(backend->squared_norm(a.data(), n), expected, tolerance)
-          << backend->name << " n=" << n;
-    }
   }
 }
 
@@ -230,26 +201,6 @@ TEST(GoldenKernels, TransposeIsBitwiseExactAndLeavesPaddingUntouched) {
                 << " at (" << c << "," << r << ")";
           }
         }
-      }
-    }
-  }
-}
-
-TEST(GoldenKernels, AxpyMatchesScalarWithinUlps) {
-  const float s = -1.73f;
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> x = RandomVector(n, 600 + n);
-      const std::vector<float> y = RandomVector(n, 700 + n);
-      std::vector<float> actual = y;
-      backend->axpy(s, x.data(), actual.data(), n);
-      for (int64_t i = 0; i < n; ++i) {
-        // FMA fuses the multiply-add; allow a few ULPs around the
-        // double-precision result.
-        const double expected =
-            static_cast<double>(s) * x[i] + static_cast<double>(y[i]);
-        EXPECT_NEAR(actual[i], expected, 1e-6 * (std::abs(expected) + 1.0))
-            << backend->name << " n=" << n << " i=" << i;
       }
     }
   }
@@ -586,47 +537,6 @@ TEST(GoldenKernels, LshSignProjectSweep) {
     }
   }
   ThreadPool::SetGlobalThreads(saved_threads);
-}
-
-TEST(GoldenKernels, NormalizeRowsMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    simd::ScopedKernelsOverride override_backend(*backend);
-    for (const int64_t dim : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
-                              int64_t{33}, int64_t{100}}) {
-      const int64_t rows = 5;
-      const int64_t stride = dim + 2;
-      std::vector<float> data = RandomVector(rows * stride, 5000 + dim);
-      // Row 2 is exactly zero: must stay untouched.
-      for (int64_t j = 0; j < dim; ++j) data[static_cast<size_t>(2 * stride + j)] = 0.0f;
-      std::vector<float> original = data;
-      NormalizeRowsInPlace(data.data(), rows, dim, stride);
-      for (int64_t i = 0; i < rows; ++i) {
-        double norm = 0.0;
-        for (int64_t j = 0; j < dim; ++j) {
-          const double v = original[static_cast<size_t>(i * stride + j)];
-          norm += v * v;
-        }
-        norm = std::sqrt(norm);
-        for (int64_t j = 0; j < dim; ++j) {
-          const float got = data[static_cast<size_t>(i * stride + j)];
-          const float before = original[static_cast<size_t>(i * stride + j)];
-          if (i == 2) {
-            EXPECT_EQ(got, before) << backend->name << " zero row, j=" << j;
-          } else {
-            EXPECT_NEAR(got, before / norm, 1e-5)
-                << backend->name << " dim=" << dim << " row=" << i
-                << " j=" << j;
-          }
-        }
-        // Stride padding untouched.
-        for (int64_t j = dim; j < stride; ++j) {
-          EXPECT_EQ(data[static_cast<size_t>(i * stride + j)],
-                    original[static_cast<size_t>(i * stride + j)])
-              << backend->name << " padding";
-        }
-      }
-    }
-  }
 }
 
 // --- ReLU and 2x2 max pooling --------------------------------------------

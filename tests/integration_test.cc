@@ -9,8 +9,6 @@
 #include "data/synthetic_images.h"
 #include "models/models.h"
 #include "nn/checkpoint.h"
-#include "nn/lr_schedule.h"
-#include "nn/metrics.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "tensor/tensor_ops.h"
@@ -129,52 +127,6 @@ TEST(IntegrationTest, CheckpointMidTrainingResumes) {
   EXPECT_EQ(EvaluateAccuracy(&model->network, dataset, 16, 128),
             EvaluateAccuracy(&resumed->network, dataset, 16, 128));
   std::remove(path.c_str());
-}
-
-TEST(IntegrationTest, LrScheduleDrivesTraining) {
-  const SyntheticImageDataset dataset = EasyDataset();
-  auto model = BuildCifarNet(SmallCifar());
-  ASSERT_TRUE(model.ok());
-  DataLoader loader(&dataset, 16, true, 7);
-  Adam optimizer(1.0f);  // overwritten by the schedule every step
-  WarmupCosineLr schedule(0.003f, 10, 120);
-  TrainingHistory history;
-  Batch batch;
-  for (int64_t step = 0; step < 120; ++step) {
-    schedule.Apply(step, &optimizer);
-    loader.Next(&batch);
-    const StepResult result = TrainStep(&model->network, &optimizer, batch);
-    TrainingHistory::Entry entry;
-    entry.step = step;
-    entry.loss = result.loss;
-    entry.train_accuracy = result.accuracy;
-    entry.learning_rate = optimizer.learning_rate();
-    history.Record(entry);
-  }
-  EXPECT_GT(EvaluateAccuracy(&model->network, dataset, 16, 128), 0.85);
-  EXPECT_EQ(history.size(), 120u);
-  EXPECT_LT(history.RecentMeanLoss(10), history.entries()[5].loss);
-}
-
-TEST(IntegrationTest, ConfusionMatrixAgreesWithAccuracy) {
-  const SyntheticImageDataset dataset = EasyDataset();
-  auto model = BuildCifarNet(SmallCifar());
-  ASSERT_TRUE(model.ok());
-  TrainAndEvaluate(&*model, dataset, 100);
-
-  ConfusionMatrix cm(4);
-  int64_t correct = 0, total = 0;
-  for (int64_t start = 0; start + 16 <= 128; start += 16) {
-    const Batch batch = MakeBatch(dataset, start, 16);
-    const Tensor logits = model->network.Forward(batch.images, false);
-    cm.AddBatch(logits, batch.labels);
-    const LossResult loss = SoftmaxCrossEntropy(logits, batch.labels);
-    correct += loss.num_correct;
-    total += batch.size();
-  }
-  EXPECT_DOUBLE_EQ(cm.Accuracy(),
-                   static_cast<double>(correct) / static_cast<double>(total));
-  EXPECT_EQ(cm.total(), total);
 }
 
 TEST(IntegrationTest, AdaptiveReuseOnAlexNetForwardBackward) {

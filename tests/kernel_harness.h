@@ -4,12 +4,11 @@
 //
 // Tolerance policy. Elementwise kernels (add, scale) must match the
 // scalar expression bitwise — vector lanes perform the identical single
-// operation. axpy may fuse its multiply-add, so it gets a few-ULP
-// relative bound. Reductions (dot, squared_norm, gemm) regroup the
-// accumulation order across lanes, so they are compared against a
-// double-precision reference with an error budget proportional to
-// eps * sum_i |a_i| * |b_i| — the standard forward error bound of
-// floating-point summation — times a generous constant.
+// operation. The gemm reduction regroups the accumulation order across
+// lanes, so it is compared against a double-precision reference with an
+// error budget proportional to eps * sum_i |a_i| * |b_i| — the standard
+// forward error bound of floating-point summation — times a generous
+// constant.
 
 #ifndef ADR_TESTS_KERNEL_HARNESS_H_
 #define ADR_TESTS_KERNEL_HARNESS_H_
@@ -66,28 +65,6 @@ inline std::vector<float> RandomVector(int64_t n, uint64_t seed) {
 }
 
 // --- double-precision references -----------------------------------------
-
-inline double RefDot(const float* a, const float* b, int64_t n) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[i]) * b[i];
-  }
-  return sum;
-}
-
-inline double RefSquaredNorm(const float* a, int64_t n) {
-  return RefDot(a, a, n);
-}
-
-/// sum_i |a_i * b_i| — the magnitude the summation error bound scales
-/// with.
-inline double AbsDot(const float* a, const float* b, int64_t n) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    sum += std::abs(static_cast<double>(a[i]) * b[i]);
-  }
-  return sum;
-}
 
 /// Reduction tolerance: c * n * eps * sum|a_i b_i|, floored to absorb
 /// double-vs-float representation noise. c = 8 is far above the lane
