@@ -10,18 +10,26 @@
 //   scalar — always built, always tested; the golden reference the
 //            differential harness (tests/golden_kernels_test.cc) compares
 //            every vector backend against.
-//   avx2   — x86-64 AVX2 + FMA, compiled in its own translation unit with
-//            -mavx2 -mfma so no AVX instruction can leak into generic
-//            code paths; selected only when the running CPU reports both
-//            features.
+//   avx2   — x86-64 AVX2 + FMA, 8 lanes, compiled in its own translation
+//            unit with -mavx2 -mfma so no AVX instruction can leak into
+//            generic code paths; selected only when the running CPU
+//            reports both features.
+//   avx512 — x86-64 AVX-512 F/BW/VL/DQ, 16 lanes with k-mask tails, in
+//            its own unit likewise; selected ahead of avx2 when the CPU
+//            reports those features. Every kernel's output is bitwise
+//            equal to avx2's, gemm_block and lsh_sign_project included.
 //   neon   — aarch64 NEON (baseline on that architecture).
 //
 // Backend resolution, highest priority first:
 //   1. ScopedKernelsOverride (tests pinning a specific backend);
-//   2. the ADR_SIMD environment variable: "0"/"off"/"scalar" forces the
-//      scalar backend at runtime (read once, like ADR_THREADS);
+//   2. the ADR_SIMD environment variable, read once (like ADR_THREADS):
+//      "0"/"off"/"OFF"/"scalar" forces the scalar backend, and a backend
+//      name ("avx2", "avx512", "neon") pins that backend, so one binary
+//      can time backends against each other. A name that is unknown, not
+//      compiled in or not supported by the CPU falls back to rule 3
+//      (ChooseIsa below is this rule as a pure function);
 //   3. the best backend that was compiled in (-DADR_SIMD=OFF builds none)
-//      AND is supported by the running CPU.
+//      AND is supported by the running CPU: avx512, then avx2, then neon.
 //
 // Numerical contract: backends may differ from each other in the final
 // few ULPs (vector lanes regroup the accumulation order), but every
@@ -37,12 +45,13 @@
 
 namespace adr::simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2, kAvx512, kNeon };
 
-/// \brief Float lanes of the widest compiled vector backend. LSH
-/// hyperplane panels pad their hash count to a multiple of this, which is
-/// a multiple of every backend's width, so one panel serves them all.
-inline constexpr int kMaxWidth = 8;
+/// \brief Float lanes of the widest vector backend (avx512). LSH
+/// hyperplane panels and the clusterer's sub-vector chunks pad to a
+/// multiple of this, which is a multiple of every backend's width, so one
+/// layout serves them all.
+inline constexpr int kMaxWidth = 16;
 
 /// \brief 64-bit words per packed sign signature (up to 128 hash bits).
 inline constexpr int kSignatureWords = 2;
@@ -50,7 +59,7 @@ inline constexpr int kSignatureWords = 2;
 /// \brief One backend's implementations of the hot-path primitives.
 struct Kernels {
   Isa isa = Isa::kScalar;
-  const char* name = "scalar";  ///< "scalar", "avx2" or "neon"
+  const char* name = "scalar";  ///< "scalar", "avx2", "avx512" or "neon"
   int width = 1;                ///< float lanes per vector register
 
   /// y[i] += x[i]
@@ -95,7 +104,9 @@ struct Kernels {
   /// microkernel behind every cache block of Gemm, GemmTransA and
   /// GemmTransB (the latter two on packed, transposed operands). Each
   /// output element accumulates its k-products in ascending-k order, so
-  /// for a fixed backend the result depends only on the operands.
+  /// for a fixed backend the result depends only on the operands. On
+  /// avx2 and avx512 that is one FMA chain from zero, then one add into
+  /// C, wherever the element's column falls, so the two agree bitwise.
   void (*gemm_block)(const float* a, int64_t lda, const float* b,
                      int64_t ldb, float* c, int64_t ldc, int64_t m,
                      int64_t k, int64_t n);
@@ -138,6 +149,19 @@ struct Kernels {
                                 int64_t planes, int64_t ih, int64_t iw,
                                 float* dx);
 };
+
+/// \brief Which vector backends this build compiled in AND the running
+/// CPU supports.
+struct Availability {
+  bool avx2 = false;
+  bool avx512 = false;
+  bool neon = false;
+};
+
+/// \brief The backend rules 2 and 3 of the header comment pick, given the
+/// ADR_SIMD value (null when unset) and what is available. Pure: Active()
+/// calls it once with the environment and the detected CPU.
+Isa ChooseIsa(const char* adr_simd, const Availability& available);
 
 /// \brief The scalar backend. Always available.
 const Kernels& Scalar();

@@ -1,8 +1,8 @@
 // Generic implementations of the simd::Kernels primitives, templated on a
 // per-ISA vector-ops struct. Each backend translation unit (simd_scalar.cc,
-// simd_avx2.cc, simd_neon.cc) includes this header and instantiates
-// MakeKernels with its Ops type; the AVX2 unit alone is compiled with
-// -mavx2 -mfma, so the intrinsics below only ever exist there.
+// simd_avx2.cc, simd_avx512.cc, simd_neon.cc) includes this header and
+// instantiates MakeKernels with its Ops type; the x86 units alone are
+// compiled with ISA flags, so the intrinsics below only ever exist there.
 //
 // An Ops type provides:
 //   using Reg            — the vector register type (float for scalar);
@@ -19,25 +19,45 @@
 //   StorePairs(p, even, odd) — the inverse, interleaving into p,
 //   LoadBytes(p) / StoreBytes(p, v) — kWidth bytes to and from lanes
 //     holding small non-negative integers.
-// Vector Ops (kWidth > 1) also provide a partial-register interface:
-//   using Mask, TailMask(count) for 0 < count < kWidth,
-//   MaskLoad(p, mask) — lanes >= count read as zero, never touched,
-//   MaskStore(p, mask, v) — writes only lanes < count.
+// Vector Ops (kWidth > 1) also provide a partial-register interface for
+// 0 < count <= kWidth lanes, which touches nothing past those lanes:
+//   using Mask, TailMask(count),
+//   MaskLoad(p, mask) — lanes >= count read as zero,
+//   MaskStore(p, mask, v) — writes only lanes < count,
+//   MaskLoadPairs(p, count, &even, &odd) / MaskStorePairs(p, count, even,
+//     odd) — LoadPairs / StorePairs over the first 2 count floats,
+//   MaskLoadBytes(p, count) / MaskStoreBytes(p, count, v) — LoadBytes /
+//     StoreBytes over the first count bytes.
 //
-// Remainder lanes (n not a multiple of kWidth) run in scalar tail loops
-// or, where a kernel keeps them in registers, masked partial registers;
-// the golden harness sweeps such shapes explicitly.
+// The element-wise kernels, the GEMM, the pooling rows and the edge tiles
+// of transpose run remainder lanes in these partial registers;
+// segment_row_sums keeps a scalar tail loop. The golden harness sweeps
+// such shapes explicitly.
 
 #ifndef ADR_TENSOR_SIMD_KERNELS_INL_H_
 #define ADR_TENSOR_SIMD_KERNELS_INL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
 #include "tensor/simd.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
+// GCC 12 reports false -Wuninitialized / -Wmaybe-uninitialized warnings
+// from inside avx512fintrin.h (GCC bug 105593), for the undefined-value
+// idiom its AVX-512 intrinsics use. The diagnostics are attributed to the
+// header's lines, so ignoring them around the include silences those
+// alone and leaves the warnings on for the code in this file.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
 #include <arm_neon.h>
@@ -45,12 +65,10 @@
 
 namespace adr::simd::detail {
 
-// One float per "register". The vector kernels run their remainder lanes
-// through ScalarLanes<TheirOps>: a distinct type per backend, so no scalar
-// instantiation compiled with one backend's ISA flags can stand in for
-// another backend's (template instantiations are merged at link time).
-template <typename Backend>
-struct ScalarLanes {
+// One float per "register": the scalar backend. Built only in
+// simd_scalar.cc, which has no ISA flags; the vector backends run their
+// remainder lanes in partial registers, never through this type.
+struct ScalarOps {
   using Reg = float;
   static constexpr int kWidth = 1;
   static Reg Zero() { return 0.0f; }
@@ -79,10 +97,38 @@ struct ScalarLanes {
   static void StoreBytes(uint8_t* p, Reg v) { *p = static_cast<uint8_t>(v); }
 };
 
-using ScalarOps = ScalarLanes<void>;
+// The pair and byte moves of the partial-register interface through a
+// lane buffer, for Ops whose masked loads and stores cannot express them
+// directly. Only the first 2 count floats or count bytes are touched.
+template <typename Ops>
+struct LaneBufferTails {
+  template <typename Reg>
+  static void MaskLoadPairs(const float* p, int count, Reg* even, Reg* odd) {
+    float lanes[2 * Ops::kWidth] = {};
+    std::copy_n(p, 2 * count, lanes);
+    Ops::LoadPairs(lanes, even, odd);
+  }
+  template <typename Reg>
+  static void MaskStorePairs(float* p, int count, Reg even, Reg odd) {
+    float lanes[2 * Ops::kWidth];
+    Ops::StorePairs(lanes, even, odd);
+    std::copy_n(lanes, 2 * count, p);
+  }
+  static auto MaskLoadBytes(const uint8_t* p, int count) {
+    uint8_t lanes[Ops::kWidth] = {};
+    std::copy_n(p, count, lanes);
+    return Ops::LoadBytes(lanes);
+  }
+  template <typename Reg>
+  static void MaskStoreBytes(uint8_t* p, int count, Reg v) {
+    uint8_t lanes[Ops::kWidth];
+    Ops::StoreBytes(lanes, v);
+    std::copy_n(lanes, count, p);
+  }
+};
 
 #if defined(__AVX2__) && defined(__FMA__)
-struct Avx2Ops {
+struct Avx2Ops : LaneBufferTails<Avx2Ops> {
   using Reg = __m256;
   static constexpr int kWidth = 8;
   static Reg Zero() { return _mm256_setzero_ps(); }
@@ -178,8 +224,134 @@ struct Avx2Ops {
 };
 #endif  // __AVX2__ && __FMA__
 
+#if defined(__AVX512F__) && defined(__AVX512BW__) && \
+    defined(__AVX512VL__) && defined(__AVX512DQ__) && defined(__FMA__)
+// Only simd_avx512.cc is compiled with these flags. Avx512Ops calls no
+// Avx2Ops member: an inline function emitted in this unit could otherwise
+// be merged into the AVX2 backend at link time.
+struct Avx512Ops {
+  using Reg = __m512;
+  static constexpr int kWidth = 16;
+  static Reg Zero() { return _mm512_setzero_ps(); }
+  static Reg Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, Reg v) { _mm512_storeu_ps(p, v); }
+  static Reg Broadcast(float s) { return _mm512_set1_ps(s); }
+  static Reg Add(Reg a, Reg b) { return _mm512_add_ps(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm512_mul_ps(a, b); }
+  static Reg Fma(Reg a, Reg b, Reg acc) { return _mm512_fmadd_ps(a, b, acc); }
+  static uint32_t SignBits(Reg v) {
+    return _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
+  }
+  using Mask = __mmask16;
+  static Mask TailMask(int count) {
+    return static_cast<Mask>((1u << count) - 1u);
+  }
+  static Reg MaskLoad(const float* p, Mask mask) {
+    return _mm512_maskz_loadu_ps(mask, p);
+  }
+  static void MaskStore(float* p, Mask mask, Reg v) {
+    _mm512_mask_storeu_ps(p, mask, v);
+  }
+  static void Transpose(Reg* v) {
+    // As in Avx2Ops, unpack and shuffle_ps leave u[4 i + c] holding, in
+    // its 128-bit lane q, column 4 q + c of rows 4 i .. 4 i + 3. Two
+    // rounds of shuffle_f32x4 then gather lane q of u[c], u[4 + c],
+    // u[8 + c] and u[12 + c] into row 4 q + c.
+    Reg t[16];
+    Reg u[16];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      t[2 * i] = _mm512_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+      t[2 * i + 1] = _mm512_unpackhi_ps(v[2 * i], v[2 * i + 1]);
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      u[4 * i] = _mm512_shuffle_ps(t[4 * i], t[4 * i + 2], 0x44);
+      u[4 * i + 1] = _mm512_shuffle_ps(t[4 * i], t[4 * i + 2], 0xEE);
+      u[4 * i + 2] = _mm512_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0x44);
+      u[4 * i + 3] = _mm512_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0xEE);
+    }
+#pragma GCC unroll 4
+    for (int c = 0; c < 4; ++c) {
+      // Lanes (0, 2) and (1, 3) of each pair of inputs.
+      const Reg w0 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x88);
+      const Reg w1 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xDD);
+      const Reg w2 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x88);
+      const Reg w3 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xDD);
+      v[c] = _mm512_shuffle_f32x4(w0, w2, 0x88);
+      v[4 + c] = _mm512_shuffle_f32x4(w1, w3, 0x88);
+      v[8 + c] = _mm512_shuffle_f32x4(w0, w2, 0xDD);
+      v[12 + c] = _mm512_shuffle_f32x4(w1, w3, 0xDD);
+    }
+  }
+  using Cmp = __mmask16;
+  static Cmp CmpGt(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+  static Cmp CmpEq(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_EQ_OQ); }
+  static Reg Select(Cmp m, Reg a, Reg b) { return _mm512_mask_blend_ps(m, b, a); }
+  // vmaxps returns its second operand unless the first is greater.
+  static Reg Max(Reg a, Reg b) { return _mm512_max_ps(a, b); }
+  static void LoadPairs(const float* p, Reg* even, Reg* odd) {
+    Deinterleave(Load(p), Load(p + kWidth), even, odd);
+  }
+  static void StorePairs(float* p, Reg even, Reg odd) {
+    Reg lo, hi;
+    Interleave(even, odd, &lo, &hi);
+    Store(p, lo);
+    Store(p + kWidth, hi);
+  }
+  static void MaskLoadPairs(const float* p, int count, Reg* even, Reg* odd) {
+    const uint64_t floats = (uint64_t{1} << (2 * count)) - 1u;
+    Deinterleave(MaskLoad(p, static_cast<Mask>(floats)),
+                 MaskLoad(p + kWidth, static_cast<Mask>(floats >> kWidth)),
+                 even, odd);
+  }
+  static void MaskStorePairs(float* p, int count, Reg even, Reg odd) {
+    const uint64_t floats = (uint64_t{1} << (2 * count)) - 1u;
+    Reg lo, hi;
+    Interleave(even, odd, &lo, &hi);
+    MaskStore(p, static_cast<Mask>(floats), lo);
+    MaskStore(p + kWidth, static_cast<Mask>(floats >> kWidth), hi);
+  }
+  static Reg LoadBytes(const uint8_t* p) {
+    return _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+  }
+  static void StoreBytes(uint8_t* p, Reg v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                     _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(v)));
+  }
+  static Reg MaskLoadBytes(const uint8_t* p, int count) {
+    return _mm512_cvtepi32_ps(
+        _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(TailMask(count), p)));
+  }
+  static void MaskStoreBytes(uint8_t* p, int count, Reg v) {
+    _mm512_mask_cvtepi32_storeu_epi8(p, TailMask(count),
+                                     _mm512_cvttps_epi32(v));
+  }
+
+ private:
+  // vpermt2ps picks each lane from the 32 floats of (lo, hi).
+  static void Deinterleave(Reg lo, Reg hi, Reg* even, Reg* odd) {
+    const __m512i even_idx = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
+                                               18, 20, 22, 24, 26, 28, 30);
+    const __m512i odd_idx = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17,
+                                              19, 21, 23, 25, 27, 29, 31);
+    *even = _mm512_permutex2var_ps(lo, even_idx, hi);
+    *odd = _mm512_permutex2var_ps(lo, odd_idx, hi);
+  }
+  static void Interleave(Reg even, Reg odd, Reg* lo, Reg* hi) {
+    const __m512i lo_idx = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4,
+                                             20, 5, 21, 6, 22, 7, 23);
+    const __m512i hi_idx = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27,
+                                             12, 28, 13, 29, 14, 30, 15, 31);
+    *lo = _mm512_permutex2var_ps(even, lo_idx, odd);
+    *hi = _mm512_permutex2var_ps(even, hi_idx, odd);
+  }
+};
+#endif  // __AVX512F__ && __AVX512BW__ && __AVX512VL__ && __AVX512DQ__
+
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
-struct NeonOps {
+struct NeonOps : LaneBufferTails<NeonOps> {
   using Reg = float32x4_t;
   static constexpr int kWidth = 4;
   static Reg Zero() { return vdupq_n_f32(0.0f); }
@@ -254,58 +426,130 @@ struct NeonOps {
 };
 #endif  // __ARM_NEON
 
+// Register accessors: a kernel body written once over `io` runs on whole
+// registers (WholeRegister) and on the first `count` lanes of one
+// (PartialRegister, vector Ops only), where it touches nothing past those
+// lanes. Each lane's arithmetic is the same in either, so tails give the
+// bits the lanes of a whole register would.
 template <typename Ops>
-void AddImpl(const float* x, float* y, int64_t n) {
+struct WholeRegister {
+  using Reg = typename Ops::Reg;
+  static Reg Load(const float* p) { return Ops::Load(p); }
+  static void Store(float* p, Reg v) { Ops::Store(p, v); }
+  static void LoadPairs(const float* p, Reg* even, Reg* odd) {
+    Ops::LoadPairs(p, even, odd);
+  }
+  static void StorePairs(float* p, Reg even, Reg odd) {
+    Ops::StorePairs(p, even, odd);
+  }
+  static Reg LoadBytes(const uint8_t* p) { return Ops::LoadBytes(p); }
+  static void StoreBytes(uint8_t* p, Reg v) { Ops::StoreBytes(p, v); }
+};
+
+template <typename Ops>
+struct PartialRegister {
+  using Reg = typename Ops::Reg;
+  explicit PartialRegister(int lanes)
+      : count(lanes), mask(Ops::TailMask(lanes)) {}
+  Reg Load(const float* p) const { return Ops::MaskLoad(p, mask); }
+  void Store(float* p, Reg v) const { Ops::MaskStore(p, mask, v); }
+  void LoadPairs(const float* p, Reg* even, Reg* odd) const {
+    Ops::MaskLoadPairs(p, count, even, odd);
+  }
+  void StorePairs(float* p, Reg even, Reg odd) const {
+    Ops::MaskStorePairs(p, count, even, odd);
+  }
+  Reg LoadBytes(const uint8_t* p) const {
+    return Ops::MaskLoadBytes(p, count);
+  }
+  void StoreBytes(uint8_t* p, Reg v) const {
+    Ops::MaskStoreBytes(p, count, v);
+  }
+  int count;
+  typename Ops::Mask mask;
+};
+
+// Streams of at least this many floats start with an aligning head.
+inline constexpr int64_t kAlignedStreamFloats = 256;
+
+// Covers [0, n) with body(i, io): whole registers at i, then one partial
+// register for the last n % kWidth lanes. When `dst` is given and n is at
+// least kAlignedStreamFloats, a partial head first brings dst + i to a
+// register-size boundary, so no whole-register store to dst straddles two
+// cache lines (every 64-byte store to 16-byte-aligned tensor data would
+// otherwise); shorter rows skip the head's extra masked access. Where the
+// registers split depends only on addresses, never on the results.
+// Always inlined: kernels call it once per row on rows of one or two
+// registers, where a call per row would cost as much as the row's work.
+template <typename Ops, typename Body>
+[[gnu::always_inline]] inline void ForEachRegister(const float* dst,
+                                                   int64_t n, Body body) {
   constexpr int64_t kW = Ops::kWidth;
   int64_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Add(Ops::Load(y + i), Ops::Load(x + i)));
+  if constexpr (kW > 1) {
+    constexpr uintptr_t kBytes = kW * sizeof(float);
+    const uintptr_t offset = reinterpret_cast<uintptr_t>(dst) % kBytes;
+    if (n >= kAlignedStreamFloats && dst != nullptr && offset != 0) {
+      i = static_cast<int64_t>((kBytes - offset) / sizeof(float));
+      body(0, PartialRegister<Ops>(static_cast<int>(i)));
+    }
   }
-  for (; i < n; ++i) y[i] += x[i];
+#pragma GCC unroll 4
+  for (; i + kW <= n; i += kW) body(i, WholeRegister<Ops>());
+  if constexpr (kW > 1) {
+    if (i < n) body(i, PartialRegister<Ops>(static_cast<int>(n - i)));
+  }
 }
 
+template <typename Ops>
+void AddImpl(const float* x, float* y, int64_t n) {
+  ForEachRegister<Ops>(y, n, [&](int64_t i, auto io) {
+    io.Store(y + i, Ops::Add(io.Load(y + i), io.Load(x + i)));
+  });
+}
+
+// One pass of segment_row_sums over C registers of y at a time, from
+// column i; returns where it stopped. The total and the segment sum of
+// each register stay in registers across all rows.
+template <typename Ops, int C>
+int64_t SegmentRowSumsPass(const float* x, int64_t ldx, const int32_t* rows,
+                           const int64_t* seg, int64_t num_segs, float* y,
+                           int64_t i, int64_t n) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  for (; i + C * kW <= n; i += C * kW) {
+    Reg total[C];
+#pragma GCC unroll 4
+    for (int c = 0; c < C; ++c) total[c] = Ops::Zero();
+    for (int64_t g = 0; g < num_segs; ++g) {
+      Reg sum[C];
+#pragma GCC unroll 4
+      for (int c = 0; c < C; ++c) sum[c] = Ops::Zero();
+      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
+        const float* row = x + rows[r] * ldx + i;
+#pragma GCC unroll 4
+        for (int c = 0; c < C; ++c) {
+          sum[c] = Ops::Add(sum[c], Ops::Load(row + c * kW));
+        }
+      }
+#pragma GCC unroll 4
+      for (int c = 0; c < C; ++c) total[c] = Ops::Add(total[c], sum[c]);
+    }
+#pragma GCC unroll 4
+    for (int c = 0; c < C; ++c) Ops::Store(y + i + c * kW, total[c]);
+  }
+  return i;
+}
+
+// Four registers per pass, then two (at 16 lanes a 32-wide row, perfbench's
+// M = 32, in one pass), then one, then scalar lanes.
 template <typename Ops>
 void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
                         const int64_t* seg, int64_t num_segs, float* y,
                         int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  int64_t i = 0;
-  // Four registers of the total and four of the segment sum per pass.
-  for (; i + 4 * kW <= n; i += 4 * kW) {
-    Reg t0 = Ops::Zero(), t1 = Ops::Zero(), t2 = Ops::Zero(),
-        t3 = Ops::Zero();
-    for (int64_t g = 0; g < num_segs; ++g) {
-      Reg s0 = Ops::Zero(), s1 = Ops::Zero(), s2 = Ops::Zero(),
-          s3 = Ops::Zero();
-      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
-        const float* row = x + rows[r] * ldx + i;
-        s0 = Ops::Add(s0, Ops::Load(row));
-        s1 = Ops::Add(s1, Ops::Load(row + kW));
-        s2 = Ops::Add(s2, Ops::Load(row + 2 * kW));
-        s3 = Ops::Add(s3, Ops::Load(row + 3 * kW));
-      }
-      t0 = Ops::Add(t0, s0);
-      t1 = Ops::Add(t1, s1);
-      t2 = Ops::Add(t2, s2);
-      t3 = Ops::Add(t3, s3);
-    }
-    Ops::Store(y + i, t0);
-    Ops::Store(y + i + kW, t1);
-    Ops::Store(y + i + 2 * kW, t2);
-    Ops::Store(y + i + 3 * kW, t3);
-  }
-  for (; i + kW <= n; i += kW) {
-    Reg total = Ops::Zero();
-    for (int64_t g = 0; g < num_segs; ++g) {
-      Reg sum = Ops::Zero();
-      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
-        sum = Ops::Add(sum, Ops::Load(x + rows[r] * ldx + i));
-      }
-      total = Ops::Add(total, sum);
-    }
-    Ops::Store(y + i, total);
-  }
+  int64_t i = SegmentRowSumsPass<Ops, 4>(x, ldx, rows, seg, num_segs, y, 0, n);
+  i = SegmentRowSumsPass<Ops, 2>(x, ldx, rows, seg, num_segs, y, i, n);
+  i = SegmentRowSumsPass<Ops, 1>(x, ldx, rows, seg, num_segs, y, i, n);
   for (; i < n; ++i) {
     float total = 0.0f;
     for (int64_t g = 0; g < num_segs; ++g) {
@@ -320,50 +564,48 @@ void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
 template <typename Ops>
 void ScatterAddRowsImpl(const float* x, int64_t ldx, int64_t rows,
                         const int32_t* ids, float* sums, int64_t n) {
-  constexpr int64_t kW = Ops::kWidth;
   // One row at a time, no run detection: clusters change every row or
   // two on real data, so a run branch would mispredict about as often as
   // it is taken. A row equal to the previous row's cluster reloads the
-  // sum its store just wrote, which full-width stores forward.
+  // sum its store just wrote, which full-width stores forward and masked
+  // ones do not, so no aligning head (nullptr) splits a wide row.
   for (int64_t r = 0; r < rows; ++r) {
     const float* xr = x + r * ldx;
     float* s = sums + static_cast<int64_t>(ids[r]) * n;
-    int64_t i = 0;
-#pragma GCC unroll 4
-    for (; i + kW <= n; i += kW) {
-      Ops::Store(s + i, Ops::Add(Ops::Load(s + i), Ops::Load(xr + i)));
-    }
-    if constexpr (kW > 1) {
-      if (i < n) {
-        const typename Ops::Mask mask = Ops::TailMask(static_cast<int>(n - i));
-        Ops::MaskStore(s + i, mask,
-                       Ops::Add(Ops::MaskLoad(s + i, mask),
-                                Ops::MaskLoad(xr + i, mask)));
-      }
-    }
+    ForEachRegister<Ops>(nullptr, n, [&](int64_t i, auto io) {
+      io.Store(s + i, Ops::Add(io.Load(s + i), io.Load(xr + i)));
+    });
   }
 }
 
 template <typename Ops>
 void CopyImpl(const float* x, float* y, int64_t n) {
-  constexpr int64_t kW = Ops::kWidth;
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Load(x + i));
-  }
-  for (; i < n; ++i) y[i] = x[i];
+  ForEachRegister<Ops>(
+      y, n, [&](int64_t i, auto io) { io.Store(y + i, io.Load(x + i)); });
 }
 
 template <typename Ops>
 void ScaleImpl(float s, float* y, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  const Reg sv = Ops::Broadcast(s);
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Mul(Ops::Load(y + i), sv));
+  const typename Ops::Reg sv = Ops::Broadcast(s);
+  ForEachRegister<Ops>(y, n, [&](int64_t i, auto io) {
+    io.Store(y + i, Ops::Mul(io.Load(y + i), sv));
+  });
+}
+
+// A tile at the bottom or right edge of a transpose, with nr rows and nc
+// columns (0 < nr, nc <= kWidth): rows past nr are zero registers, and
+// only nc transposed rows of nr lanes are stored.
+template <typename Ops>
+void TransposeEdgeTile(const float* src, int64_t lds, int nr, int nc,
+                       float* dst, int64_t ldd) {
+  const PartialRegister<Ops> in_row(nc);
+  const PartialRegister<Ops> out_row(nr);
+  typename Ops::Reg tile[Ops::kWidth];
+  for (int r = 0; r < Ops::kWidth; ++r) {
+    tile[r] = r < nr ? in_row.Load(src + r * lds) : Ops::Zero();
   }
-  for (; i < n; ++i) y[i] *= s;
+  Ops::Transpose(tile);
+  for (int c = 0; c < nc; ++c) out_row.Store(dst + c * ldd, tile[c]);
 }
 
 template <typename Ops>
@@ -376,33 +618,68 @@ void TransposeImpl(const float* src, int64_t lds, int64_t rows, int64_t cols,
     int64_t c0 = 0;
     for (; c0 + kW <= cols; c0 += kW) {
       Reg tile[kW];
-#pragma GCC unroll 8
+#pragma GCC unroll 16
       for (int r = 0; r < kW; ++r) {
         tile[r] = Ops::Load(src + (r0 + r) * lds + c0);
       }
       Ops::Transpose(tile);
-#pragma GCC unroll 8
+#pragma GCC unroll 16
       for (int c = 0; c < kW; ++c) {
         Ops::Store(dst + (c0 + c) * ldd + r0, tile[c]);
       }
     }
-    for (int64_t c = c0; c < cols; ++c) {
-      for (int64_t r = r0; r < r0 + kW; ++r) dst[c * ldd + r] = src[r * lds + c];
+    if constexpr (kW > 1) {
+      if (c0 < cols) {
+        TransposeEdgeTile<Ops>(src + r0 * lds + c0, lds, kW,
+                               static_cast<int>(cols - c0),
+                               dst + c0 * ldd + r0, ldd);
+      }
     }
   }
-  for (; r0 < rows; ++r0) {
-    for (int64_t c = 0; c < cols; ++c) dst[c * ldd + r0] = src[r0 * lds + c];
+  if constexpr (kW > 1) {
+    if (r0 < rows) {
+      for (int64_t c0 = 0; c0 < cols; c0 += kW) {
+        TransposeEdgeTile<Ops>(src + r0 * lds + c0, lds,
+                               static_cast<int>(rows - r0),
+                               static_cast<int>(std::min<int64_t>(kW, cols - c0)),
+                               dst + c0 * ldd + r0, ldd);
+      }
+    }
+  }
+}
+
+// One register of columns of an R-row tile, whole or partial (io): R
+// accumulators from zero, one broadcast of A and one FMA per row and k.
+template <typename Ops, int R, typename Io>
+void GemmRegister(const float* a, int64_t lda, const float* b, int64_t ldb,
+                  float* c, int64_t ldc, int64_t k, Io io) {
+  using Reg = typename Ops::Reg;
+  Reg acc[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) acc[r] = Ops::Zero();
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const Reg bv = io.Load(b + kk * ldb);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] = Ops::Fma(Ops::Broadcast(a[r * lda + kk]), bv, acc[r]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    float* c_row = c + r * ldc;
+    io.Store(c_row, Ops::Add(io.Load(c_row), acc[r]));
   }
 }
 
 // One tile of R rows of C: C[R x n] += A[R x k] * B[k x n]. Columns run
 // in tiles of two registers (the hot loop: one broadcast of A per row, two
 // FMAs reusing the loaded B registers across all R rows), then one
-// register, then a scalar tail. Accumulators live in registers across the
-// whole k loop and are added to C once, so each element's accumulation
-// order depends only on k. As in SignProjectTile, the r loops must unroll
-// completely or -O2 keeps acc[] on the stack; unrolling does not change
-// the FMA order.
+// register, then one partial register. Accumulators live in registers
+// across the whole k loop and are added to C once, so each element is one
+// FMA chain from zero over ascending k, then one add into C, whatever its
+// column's position: vector backends of any width give the same bits. As
+// in SignProjectTile, the r loops must unroll completely or -O2 keeps
+// acc[] on the stack; unrolling does not change the FMA order.
 template <typename Ops, int R>
 void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
                  float* c, int64_t ldc, int64_t k, int64_t n) {
@@ -436,29 +713,13 @@ void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
     }
   }
   for (; j + kW <= n; j += kW) {
-    Reg acc[R];
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) acc[r] = Ops::Zero();
-    const float* b_col = b + j;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const Reg bv = Ops::Load(b_col + kk * ldb);
-#pragma GCC unroll 4
-      for (int r = 0; r < R; ++r) {
-        acc[r] = Ops::Fma(Ops::Broadcast(a[r * lda + kk]), bv, acc[r]);
-      }
-    }
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      float* c_row = c + r * ldc + j;
-      Ops::Store(c_row, Ops::Add(Ops::Load(c_row), acc[r]));
-    }
+    GemmRegister<Ops, R>(a, lda, b + j, ldb, c + j, ldc, k,
+                         WholeRegister<Ops>());
   }
-  for (; j < n; ++j) {
-    for (int r = 0; r < R; ++r) {
-      float acc = 0.0f;
-      const float* a_row = a + r * lda;
-      for (int64_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b[kk * ldb + j];
-      c[r * ldc + j] += acc;
+  if constexpr (kW > 1) {
+    if (j < n) {
+      GemmRegister<Ops, R>(a, lda, b + j, ldb, c + j, ldc, k,
+                           PartialRegister<Ops>(static_cast<int>(n - j)));
     }
   }
 }
@@ -575,41 +836,39 @@ void LshSignProjectImpl(const float* x, int64_t ldx, int64_t rows,
 template <typename Ops>
 void ReluImpl(const float* x, float* y, float* mask, int64_t n) {
   using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
   const Reg zero = Ops::Zero();
-  int64_t i = 0;
+  const auto relu_pass = [&](const float* xc, float* yc, int64_t len) {
+    ForEachRegister<Ops>(yc, len, [&](int64_t i, auto io) {
+      io.Store(yc + i, Ops::Max(io.Load(xc + i), zero));
+    });
+  };
   if (mask == nullptr) {
-#pragma GCC unroll 4
-    for (; i + kW <= n; i += kW) {
-      Ops::Store(y + i, Ops::Max(Ops::Load(x + i), zero));
-    }
-  } else {
-    const Reg one = Ops::Broadcast(1.0f);
-#pragma GCC unroll 4
-    for (; i + kW <= n; i += kW) {
-      const Reg v = Ops::Load(x + i);
-      const typename Ops::Cmp positive = Ops::CmpGt(v, zero);
-      Ops::Store(y + i, Ops::Select(positive, v, zero));
-      Ops::Store(mask + i, Ops::Select(positive, one, zero));
-    }
+    relu_pass(x, y, n);
+    return;
   }
-  if constexpr (kW > 1) {
-    if (i < n) {
-      ReluImpl<ScalarLanes<Ops>>(x + i, y + i,
-                                 mask == nullptr ? nullptr : mask + i, n - i);
-    }
+  // y and the mask go in separate passes over 4 KiB chunks of x, which
+  // stay in L1 between the two, so each pass aligns its own stores. One
+  // pass could align only one of the two outputs; when their offsets
+  // differ, every 64-byte store to the other would straddle two lines.
+  const Reg one = Ops::Broadcast(1.0f);
+  constexpr int64_t kChunk = 1024;
+  for (int64_t c = 0; c < n; c += kChunk) {
+    const int64_t len = std::min(kChunk, n - c);
+    const float* xc = x + c;
+    float* mc = mask + c;
+    relu_pass(xc, y + c, len);
+    ForEachRegister<Ops>(mc, len, [&](int64_t i, auto io) {
+      io.Store(mc + i,
+               Ops::Select(Ops::CmpGt(io.Load(xc + i), zero), one, zero));
+    });
   }
 }
 
 template <typename Ops>
 void MulImpl(const float* a, const float* b, float* y, int64_t n) {
-  constexpr int64_t kW = Ops::kWidth;
-  int64_t i = 0;
-#pragma GCC unroll 4
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Mul(Ops::Load(a + i), Ops::Load(b + i)));
-  }
-  for (; i < n; ++i) y[i] = a[i] * b[i];
+  ForEachRegister<Ops>(y, n, [&](int64_t i, auto io) {
+    io.Store(y + i, Ops::Mul(io.Load(a + i), io.Load(b + i)));
+  });
 }
 
 // One output row of 2x2 max pooling: output ox reads top[2 ox], top[2 ox +
@@ -621,47 +880,38 @@ void MaxPoolRow(const float* top, const float* bottom, int64_t ow, float* y,
                 uint8_t* codes) {
   using Reg = typename Ops::Reg;
   using Cmp = typename Ops::Cmp;
-  constexpr int64_t kW = Ops::kWidth;
   const Reg neg_inf = Ops::Broadcast(-std::numeric_limits<float>::infinity());
-  int64_t ox = 0;
   if (codes == nullptr) {
-    for (; ox + kW <= ow; ox += kW) {
+    ForEachRegister<Ops>(y, ow, [&](int64_t ox, auto io) {
       Reg e0, e1, e2, e3;
-      Ops::LoadPairs(top + 2 * ox, &e0, &e1);
-      Ops::LoadPairs(bottom + 2 * ox, &e2, &e3);
+      io.LoadPairs(top + 2 * ox, &e0, &e1);
+      io.LoadPairs(bottom + 2 * ox, &e2, &e3);
       const Reg best = Ops::Max(e0, neg_inf);
-      Ops::Store(y + ox, Ops::Max(e3, Ops::Max(e2, Ops::Max(e1, best))));
-    }
-  } else {
-    const Reg one = Ops::Broadcast(1.0f);
-    const Reg two = Ops::Broadcast(2.0f);
-    const Reg three = Ops::Broadcast(3.0f);
-    for (; ox + kW <= ow; ox += kW) {
-      Reg e0, e1, e2, e3;
-      Ops::LoadPairs(top + 2 * ox, &e0, &e1);
-      Ops::LoadPairs(bottom + 2 * ox, &e2, &e3);
-      Reg best = Ops::Max(e0, neg_inf);
-      Reg code = Ops::Zero();
-      const Cmp gt1 = Ops::CmpGt(e1, best);
-      best = Ops::Select(gt1, e1, best);
-      code = Ops::Select(gt1, one, code);
-      const Cmp gt2 = Ops::CmpGt(e2, best);
-      best = Ops::Select(gt2, e2, best);
-      code = Ops::Select(gt2, two, code);
-      const Cmp gt3 = Ops::CmpGt(e3, best);
-      best = Ops::Select(gt3, e3, best);
-      code = Ops::Select(gt3, three, code);
-      Ops::Store(y + ox, best);
-      Ops::StoreBytes(codes + ox, code);
-    }
+      io.Store(y + ox, Ops::Max(e3, Ops::Max(e2, Ops::Max(e1, best))));
+    });
+    return;
   }
-  if constexpr (kW > 1) {
-    if (ox < ow) {
-      MaxPoolRow<ScalarLanes<Ops>>(top + 2 * ox, bottom + 2 * ox, ow - ox,
-                                   y + ox,
-                                   codes == nullptr ? nullptr : codes + ox);
-    }
-  }
+  const Reg one = Ops::Broadcast(1.0f);
+  const Reg two = Ops::Broadcast(2.0f);
+  const Reg three = Ops::Broadcast(3.0f);
+  ForEachRegister<Ops>(y, ow, [&](int64_t ox, auto io) {
+    Reg e0, e1, e2, e3;
+    io.LoadPairs(top + 2 * ox, &e0, &e1);
+    io.LoadPairs(bottom + 2 * ox, &e2, &e3);
+    Reg best = Ops::Max(e0, neg_inf);
+    Reg code = Ops::Zero();
+    const Cmp gt1 = Ops::CmpGt(e1, best);
+    best = Ops::Select(gt1, e1, best);
+    code = Ops::Select(gt1, one, code);
+    const Cmp gt2 = Ops::CmpGt(e2, best);
+    best = Ops::Select(gt2, e2, best);
+    code = Ops::Select(gt2, two, code);
+    const Cmp gt3 = Ops::CmpGt(e3, best);
+    best = Ops::Select(gt3, e3, best);
+    code = Ops::Select(gt3, three, code);
+    io.Store(y + ox, best);
+    io.StoreBytes(codes + ox, code);
+  });
 }
 
 template <typename Ops>
@@ -687,27 +937,20 @@ template <typename Ops>
 void MaxPoolRowBackward(const float* dy, const uint8_t* codes, int64_t ow,
                         float* top, float* bottom) {
   using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
   const Reg zero = Ops::Zero();
   const Reg one = Ops::Broadcast(1.0f);
   const Reg two = Ops::Broadcast(2.0f);
   const Reg three = Ops::Broadcast(3.0f);
-  int64_t ox = 0;
-  for (; ox + kW <= ow; ox += kW) {
-    const Reg g = Ops::Add(zero, Ops::Load(dy + ox));
-    const Reg code = Ops::LoadBytes(codes + ox);
-    Ops::StorePairs(top + 2 * ox, Ops::Select(Ops::CmpEq(code, zero), g, zero),
-                    Ops::Select(Ops::CmpEq(code, one), g, zero));
-    Ops::StorePairs(bottom + 2 * ox,
-                    Ops::Select(Ops::CmpEq(code, two), g, zero),
-                    Ops::Select(Ops::CmpEq(code, three), g, zero));
-  }
-  if constexpr (kW > 1) {
-    if (ox < ow) {
-      MaxPoolRowBackward<ScalarLanes<Ops>>(dy + ox, codes + ox, ow - ox,
-                                           top + 2 * ox, bottom + 2 * ox);
-    }
-  }
+  // Stores go to two floats per output, so no head aligns them.
+  ForEachRegister<Ops>(nullptr, ow, [&](int64_t ox, auto io) {
+    const Reg g = Ops::Add(zero, io.Load(dy + ox));
+    const Reg code = io.LoadBytes(codes + ox);
+    io.StorePairs(top + 2 * ox, Ops::Select(Ops::CmpEq(code, zero), g, zero),
+                  Ops::Select(Ops::CmpEq(code, one), g, zero));
+    io.StorePairs(bottom + 2 * ox,
+                  Ops::Select(Ops::CmpEq(code, two), g, zero),
+                  Ops::Select(Ops::CmpEq(code, three), g, zero));
+  });
 }
 
 template <typename Ops>

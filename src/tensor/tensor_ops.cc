@@ -13,33 +13,10 @@ void AddInPlace(const Tensor& in, Tensor* out) {
   for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  AddInPlace(b, &out);
-  return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  ADR_CHECK(a.SameShape(b));
-  Tensor out = a;
-  const float* src = b.data();
-  float* dst = out.data();
-  for (int64_t i = 0; i < out.num_elements(); ++i) dst[i] -= src[i];
-  return out;
-}
-
 void ScaleInPlace(float scale, Tensor* out) {
   float* dst = out->data();
   const int64_t n = out->num_elements();
   for (int64_t i = 0; i < n; ++i) dst[i] *= scale;
-}
-
-void Axpy(float scale, const Tensor& in, Tensor* out) {
-  ADR_CHECK(in.SameShape(*out));
-  const float* src = in.data();
-  float* dst = out->data();
-  const int64_t n = in.num_elements();
-  for (int64_t i = 0; i < n; ++i) dst[i] += scale * src[i];
 }
 
 void AddRowBias(const Tensor& bias, Tensor* out) {
@@ -120,17 +97,6 @@ bool AllClose(const Tensor& a, const Tensor& b, float rtol, float atol) {
     }
   }
   return true;
-}
-
-int64_t ArgMaxRow(const Tensor& matrix, int64_t row) {
-  ADR_CHECK_EQ(matrix.shape().rank(), 2);
-  const int64_t n = matrix.shape()[1];
-  const float* p = matrix.data() + row * n;
-  int64_t best = 0;
-  for (int64_t j = 1; j < n; ++j) {
-    if (p[j] > p[best]) best = j;
-  }
-  return best;
 }
 
 }  // namespace adr

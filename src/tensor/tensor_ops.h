@@ -12,17 +12,8 @@ namespace adr {
 /// \brief out[i] += in[i]; shapes must match.
 void AddInPlace(const Tensor& in, Tensor* out);
 
-/// \brief out[i] = a[i] + b[i].
-Tensor Add(const Tensor& a, const Tensor& b);
-
-/// \brief out[i] = a[i] - b[i].
-Tensor Sub(const Tensor& a, const Tensor& b);
-
 /// \brief out[i] *= scale.
 void ScaleInPlace(float scale, Tensor* out);
-
-/// \brief out[i] += scale * in[i] (axpy).
-void Axpy(float scale, const Tensor& in, Tensor* out);
 
 /// \brief Adds `bias` (length n) to every row of the MxN matrix `out`.
 void AddRowBias(const Tensor& bias, Tensor* out);
@@ -58,9 +49,6 @@ float MaxAbsDiff(const Tensor& a, const Tensor& b);
 /// \brief True when all |a[i] - b[i]| <= atol + rtol * |b[i]|.
 bool AllClose(const Tensor& a, const Tensor& b, float rtol = 1e-5f,
               float atol = 1e-6f);
-
-/// \brief Index of the maximum entry in row `row` of an MxN matrix.
-int64_t ArgMaxRow(const Tensor& matrix, int64_t row);
 
 }  // namespace adr
 

@@ -87,6 +87,4 @@ void Rng::Shuffle(std::vector<int>* indices) {
   }
 }
 
-Rng Rng::Split() { return Rng(NextU64()); }
-
 }  // namespace adr

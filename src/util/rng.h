@@ -14,7 +14,7 @@ namespace adr {
 
 /// \brief Deterministic random number generator (xoshiro256**).
 ///
-/// Not thread-safe; use one instance per thread or Split() child generators.
+/// Not thread-safe; use one instance per thread.
 class Rng {
  public:
   /// Seeds the state deterministically from `seed` via splitmix64.
@@ -40,9 +40,6 @@ class Rng {
 
   /// \brief Fisher-Yates shuffle of `indices`.
   void Shuffle(std::vector<int>* indices);
-
-  /// \brief Derives an independent child generator (for per-layer streams).
-  Rng Split();
 
  private:
   uint64_t state_[4];

@@ -1,13 +1,14 @@
 // Differential golden-kernel tests for the SIMD layer (tensor/simd.h).
 //
-// Every backend available on this build + machine (scalar always; avx2 or
-// neon when present) is swept over remainder-lane shapes and compared
-// against double-precision references or the scalar backend, with the
-// per-kernel tolerances documented in tests/kernel_harness.h and DESIGN.md
-// section 6.3. The ReLU and max-pool kernels are also held bitwise to the
-// layer loops they replaced. The suite closes with a finite-difference
-// gradient check of ReuseConv2d running end-to-end on the active (SIMD)
-// backend.
+// Every backend available on this build + machine (scalar always; avx2,
+// avx512 or neon when present) is swept over remainder-lane shapes and
+// compared against double-precision references or the scalar backend,
+// with the per-kernel tolerances documented in tests/kernel_harness.h and
+// DESIGN.md section 6.3. The ReLU and max-pool kernels are also held
+// bitwise to the layer loops they replaced, and avx512 is held bitwise to
+// avx2 kernel by kernel and over CifarNet training steps. The suite
+// closes with a finite-difference gradient check of ReuseConv2d running
+// end-to-end on the active (SIMD) backend.
 
 #include <algorithm>
 #include <cmath>
@@ -23,6 +24,11 @@
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "clustering/lsh.h"
+#include "data/dataloader.h"
+#include "data/synthetic_images.h"
+#include "models/models.h"
+#include "nn/optimizer.h"
+#include "nn/trainer.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -49,6 +55,72 @@ TEST(GoldenKernels, AtLeastScalarIsAvailable) {
     EXPECT_GE(backend->width, 1) << backend->name;
     EXPECT_NE(backend->name, nullptr);
   }
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+// The backend with this ISA, or null when this build + CPU lacks it.
+const simd::Kernels* FindBackend(simd::Isa isa) {
+  for (const simd::Kernels* backend : Backends()) {
+    if (backend->isa == isa) return backend;
+  }
+  return nullptr;
+}
+
+TEST(SimdDispatchTest, ChoosesTheWidestAvailableBackendByDefault) {
+  simd::Availability none;
+  simd::Availability avx2;
+  avx2.avx2 = true;
+  simd::Availability both = avx2;
+  both.avx512 = true;
+  simd::Availability neon;
+  neon.neon = true;
+  EXPECT_EQ(simd::ChooseIsa(nullptr, none), simd::Isa::kScalar);
+  EXPECT_EQ(simd::ChooseIsa(nullptr, avx2), simd::Isa::kAvx2);
+  EXPECT_EQ(simd::ChooseIsa(nullptr, both), simd::Isa::kAvx512);
+  EXPECT_EQ(simd::ChooseIsa(nullptr, neon), simd::Isa::kNeon);
+  EXPECT_EQ(simd::ChooseIsa("", both), simd::Isa::kAvx512);
+}
+
+TEST(SimdDispatchTest, AdrSimdPinsAnAvailableBackendByName) {
+  simd::Availability both;
+  both.avx2 = true;
+  both.avx512 = true;
+  for (const char* off : {"0", "off", "OFF", "scalar"}) {
+    EXPECT_EQ(simd::ChooseIsa(off, both), simd::Isa::kScalar) << off;
+    EXPECT_EQ(simd::ChooseIsa(off, simd::Availability()), simd::Isa::kScalar)
+        << off;
+  }
+  EXPECT_EQ(simd::ChooseIsa("avx2", both), simd::Isa::kAvx2);
+  EXPECT_EQ(simd::ChooseIsa("avx512", both), simd::Isa::kAvx512);
+  simd::Availability neon;
+  neon.neon = true;
+  EXPECT_EQ(simd::ChooseIsa("neon", neon), simd::Isa::kNeon);
+}
+
+TEST(SimdDispatchTest, UnknownOrUnsupportedNamesFallBackToTheDefault) {
+  simd::Availability avx2;
+  avx2.avx2 = true;
+  simd::Availability both = avx2;
+  both.avx512 = true;
+  // Not supported by the CPU (or not compiled in).
+  EXPECT_EQ(simd::ChooseIsa("avx512", avx2), simd::Isa::kAvx2);
+  EXPECT_EQ(simd::ChooseIsa("avx2", simd::Availability()),
+            simd::Isa::kScalar);
+  EXPECT_EQ(simd::ChooseIsa("neon", both), simd::Isa::kAvx512);
+  // Unknown names, including near misses and other spellings.
+  for (const char* name : {"AVX2", "avx", "avx-512", "sse", "1", "on"}) {
+    EXPECT_EQ(simd::ChooseIsa(name, both), simd::Isa::kAvx512) << name;
+    EXPECT_EQ(simd::ChooseIsa(name, avx2), simd::Isa::kAvx2) << name;
+  }
+}
+
+TEST(SimdDispatchTest, ActiveIsAnAvailableBackend) {
+  const simd::Kernels& active = simd::Active();
+  EXPECT_NE(FindBackend(active.isa), nullptr) << active.name;
+  EXPECT_EQ(&active, FindBackend(active.isa)) << active.name;
 }
 
 TEST(GoldenKernels, AddAndScaleMatchScalarBitwise) {
@@ -397,6 +469,126 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(9, 257, 15),
                       std::make_tuple(67, 131, 263)));
 
+// avx512 promises the bits of avx2 for its two FMA-chain kernels: each
+// element is one FMA chain from zero over ascending k (gemm_block) or j
+// (lsh_sign_project) on both, whatever register, tile or partial register
+// its column or hash lane lands in at 8 or 16 lanes. The shapes cover
+// every column tail at both widths and conv1's K = 75.
+TEST(GoldenKernels, GemmBlockAvx512MatchesAvx2Bitwise) {
+  const simd::Kernels* avx2 = FindBackend(simd::Isa::kAvx2);
+  const simd::Kernels* avx512 = FindBackend(simd::Isa::kAvx512);
+  if (avx2 == nullptr || avx512 == nullptr) {
+    GTEST_SKIP() << "needs both the avx2 and the avx512 backend";
+  }
+  std::vector<int64_t> ns;
+  for (int64_t n = 1; n <= 33; ++n) ns.push_back(n);
+  for (const int64_t n : {64, 75, 100, 800}) ns.push_back(n);
+  for (const int64_t m : {1, 2, 3, 4, 5}) {
+    for (const int64_t k : {1, 10, 75, 128}) {
+      for (const int64_t n : ns) {
+        const int64_t lda = k + 1, ldb = n + 3, ldc = n + 2;
+        const std::vector<float> a = RandomVector(m * lda, 7000 + m * k + n);
+        const std::vector<float> b = RandomVector(k * ldb, 7100 + k + n);
+        const std::vector<float> c0 = RandomVector(m * ldc, 7200 + m + n);
+        std::vector<float> want = c0;
+        std::vector<float> got = c0;
+        avx2->gemm_block(a.data(), lda, b.data(), ldb, want.data(), ldc, m,
+                         k, n);
+        avx512->gemm_block(a.data(), lda, b.data(), ldb, got.data(), ldc, m,
+                           k, n);
+        ASSERT_TRUE(SameBits(got.data(), want.data(),
+                             static_cast<int64_t>(got.size())))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(GoldenKernels, LshSignProjectAvx512MatchesAvx2Bitwise) {
+  const simd::Kernels* avx2 = FindBackend(simd::Isa::kAvx2);
+  const simd::Kernels* avx512 = FindBackend(simd::Isa::kAvx512);
+  if (avx2 == nullptr || avx512 == nullptr) {
+    GTEST_SKIP() << "needs both the avx2 and the avx512 backend";
+  }
+  for (const int64_t dim : {1, 10, 25, 400}) {
+    for (int num_hashes = 1; num_hashes <= 64; ++num_hashes) {
+      LshFamily family;
+      ASSERT_TRUE(LshFamily::Create(dim, num_hashes,
+                                    static_cast<uint64_t>(dim * 67 +
+                                                          num_hashes),
+                                    &family)
+                      .ok());
+      const int64_t ldp = family.padded_hashes();
+      for (const int64_t rows : {1, 3, 4, 7, 33}) {
+        const int64_t stride = dim + 3;
+        const std::vector<float> data =
+            RandomVector(rows * stride, 7300 + dim + num_hashes + rows);
+        std::vector<LshSignature> want(static_cast<size_t>(rows));
+        std::vector<LshSignature> got(static_cast<size_t>(rows));
+        avx2->lsh_sign_project(data.data(), stride, rows,
+                               family.panel().data(), dim, ldp, num_hashes,
+                               want.data()->words.data());
+        avx512->lsh_sign_project(data.data(), stride, rows,
+                                 family.panel().data(), dim, ldp, num_hashes,
+                                 got.data()->words.data());
+        ASSERT_EQ(got, want) << "dim=" << dim << " h=" << num_hashes
+                             << " rows=" << rows;
+      }
+    }
+  }
+}
+
+// A few CifarNet training steps at perfbench's scale (half width, 32 x 32
+// inputs, L = 10, H = 11), dense and reuse, on avx2 and on avx512: the
+// per-kernel contracts add up to bitwise-equal losses and parameters.
+TEST(GoldenKernels, CifarNetTrainingAvx512MatchesAvx2Bitwise) {
+  const simd::Kernels* avx2 = FindBackend(simd::Isa::kAvx2);
+  const simd::Kernels* avx512 = FindBackend(simd::Isa::kAvx512);
+  if (avx2 == nullptr || avx512 == nullptr) {
+    GTEST_SKIP() << "needs both the avx2 and the avx512 backend";
+  }
+  const Result<SyntheticImageDataset> dataset = SyntheticImageDataset::Create(
+      SyntheticImageConfig::CifarLike(/*num_samples=*/24, /*seed=*/3));
+  ASSERT_TRUE(dataset.ok());
+  for (const bool reuse : {false, true}) {
+    std::vector<std::vector<double>> losses;
+    std::vector<std::vector<Tensor>> parameters;
+    for (const simd::Kernels* backend : {avx2, avx512}) {
+      simd::ScopedKernelsOverride override_backend(*backend);
+      ModelOptions options;
+      options.width = 0.5;
+      options.fc_width = 0.25;
+      options.use_reuse = reuse;
+      options.reuse = ReuseConfigBuilder()
+                          .SubVectorLength(10)
+                          .NumHashes(11)
+                          .BuildUnchecked();
+      options.seed = 5;
+      Model model = BuildCifarNet(options).ValueOrDie();
+      Adam optimizer(0.001f);
+      losses.emplace_back();
+      for (int64_t step = 0; step < 3; ++step) {
+        const Batch batch = MakeBatch(*dataset, step * 8, 8);
+        losses.back().push_back(
+            TrainStep(&model.network, &optimizer, batch).loss);
+      }
+      parameters.emplace_back();
+      for (const Tensor* p : model.network.Parameters()) {
+        parameters.back().push_back(*p);
+      }
+    }
+    EXPECT_EQ(losses[1], losses[0]) << "reuse=" << reuse;
+    ASSERT_EQ(parameters[1].size(), parameters[0].size());
+    for (size_t i = 0; i < parameters[0].size(); ++i) {
+      const Tensor& want = parameters[0][i];
+      const Tensor& got = parameters[1][i];
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_TRUE(SameBits(got.data(), want.data(), want.num_elements()))
+          << "reuse=" << reuse << " parameter " << i;
+    }
+  }
+}
+
 TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
   const int64_t dim = 37;  // remainder lanes in the projection GEMM
   const int num_hashes = 24;
@@ -556,10 +748,6 @@ std::vector<float> SpecialValues(int64_t n, uint64_t seed) {
   return v;
 }
 
-bool SameBits(const float* a, const float* b, int64_t n) {
-  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
-}
-
 // The ReLU layer's loop before it moved onto simd::Kernels.
 void LoopRelu(const float* x, float* y, float* mask, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -656,6 +844,89 @@ TEST(GoldenKernels, ReluMatchesLayerLoopBitwise) {
   }
 }
 
+// A float buffer whose float at `offset` lies `offset` floats past a
+// 64-byte boundary, with kPad sentinels on both sides of its n floats.
+class OffsetWindow {
+ public:
+  static constexpr float kSentinel = 99.0f;
+  static constexpr int64_t kPad = 16;
+
+  OffsetWindow(int64_t n, int64_t offset)
+      : storage_(static_cast<size_t>(n + 4 * kPad), kSentinel), n_(n) {
+    const uintptr_t addr = reinterpret_cast<uintptr_t>(storage_.data());
+    const int64_t skip = static_cast<int64_t>((64 - addr % 64) % 64) / 4;
+    data_ = storage_.data() + skip + kPad + offset;
+  }
+  float* data() { return data_; }
+  bool Untouched() const {
+    for (int64_t i = 1; i <= kPad; ++i) {
+      if (data_[-i] != kSentinel || data_[n_ - 1 + i] != kSentinel) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<float> storage_;
+  int64_t n_;
+  float* data_;
+};
+
+// The element-wise kernels start runs of 256 floats or more with a
+// partial head that aligns their stores, and the masked ReLU works in
+// 1024-float chunks:
+// both depend on addresses and lengths alone. At every float offset from
+// a 64-byte boundary, for y and the mask independently, and at lengths
+// around the chunk size, each kernel must match the scalar backend
+// bitwise and leave the floats before and after its output untouched.
+TEST(GoldenKernels, ElementwiseKernelsMatchScalarAtEveryAlignment) {
+  const simd::Kernels& scalar = simd::Scalar();
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t n : {100, 255, 256, 257, 1023, 1024, 1025, 2100}) {
+      const std::vector<float> x = SpecialValues(n, 1500 + n);
+      std::vector<float> b = RandomVector(n, 1600 + n);
+      std::vector<float> want_y(static_cast<size_t>(n));
+      std::vector<float> want_mask(static_cast<size_t>(n));
+      scalar.relu(x.data(), want_y.data(), want_mask.data(), n);
+      for (int64_t y_off = 0; y_off < 16; ++y_off) {
+        const std::string where = std::string(backend->name) +
+                                  " n=" + std::to_string(n) +
+                                  " offset=" + std::to_string(y_off);
+        OffsetWindow y(n, y_off);
+        for (const int64_t mask_off : {int64_t{0}, y_off, (y_off + 5) % 16}) {
+          OffsetWindow mask(n, mask_off);
+          backend->relu(x.data(), y.data(), mask.data(), n);
+          EXPECT_TRUE(SameBits(y.data(), want_y.data(), n)) << where;
+          EXPECT_TRUE(SameBits(mask.data(), want_mask.data(), n))
+              << where << " mask offset=" << mask_off;
+          EXPECT_TRUE(y.Untouched() && mask.Untouched()) << where;
+        }
+        backend->relu(x.data(), y.data(), nullptr, n);
+        EXPECT_TRUE(SameBits(y.data(), want_y.data(), n)) << where;
+
+        std::vector<float> want(static_cast<size_t>(n));
+        scalar.mul(x.data(), b.data(), want.data(), n);
+        backend->mul(x.data(), b.data(), y.data(), n);
+        EXPECT_TRUE(SameBits(y.data(), want.data(), n)) << where << " mul";
+
+        backend->copy(b.data(), y.data(), n);
+        EXPECT_TRUE(SameBits(y.data(), b.data(), n)) << where << " copy";
+
+        want = b;
+        scalar.scale(0.37f, want.data(), n);
+        backend->scale(0.37f, y.data(), n);
+        EXPECT_TRUE(SameBits(y.data(), want.data(), n)) << where << " scale";
+
+        scalar.add(x.data(), want.data(), n);
+        backend->add(x.data(), y.data(), n);
+        EXPECT_TRUE(SameBits(y.data(), want.data(), n)) << where << " add";
+        EXPECT_TRUE(y.Untouched()) << where;
+      }
+    }
+  }
+}
+
 TEST(GoldenKernels, MulMatchesScalarBitwise) {
   for (const simd::Kernels* backend : Backends()) {
     for (int64_t n = 1; n <= 3 * simd::kMaxWidth + 1; ++n) {
@@ -687,7 +958,9 @@ TEST(GoldenKernels, MulMatchesScalarBitwise) {
 
 TEST(GoldenKernels, MaxPool2x2MatchesLayerLoopBitwise) {
   // Output widths 1 .. 2 * kMaxWidth + 1 cover every tail on every
-  // backend; odd input sizes leave a last row and column out.
+  // backend; odd input sizes leave a last row and column out. iw = 16
+  // (ow = 8, a partial register at 16 lanes) is conv2's output in
+  // perfbench, iw = 32 conv1's.
   const float kSentinel = 99.0f;
   for (const simd::Kernels* backend : Backends()) {
     for (const int64_t ih : {2, 3, 4, 5}) {

@@ -45,11 +45,14 @@ inline const std::vector<const simd::Kernels*>& Backends() {
 }
 
 /// Shape sweep with remainder lanes: values straddling every vector width
-/// in use (1, 4, 8 lanes and the 2x-unrolled 16-lane hot loops).
+/// in use (1, 4, 8, 16 lanes and the 2x- and 4x-unrolled loops), plus
+/// perfbench's widths: n = 10 for the copy and scale of L = 10 rows (a
+/// partial register at 16 lanes) and n = 32 for the row sums of M = 32
+/// gradient columns (the two-register pass at 16 lanes).
 inline const std::vector<int64_t>& RemainderSizes() {
   static const std::vector<int64_t> sizes = {
-      1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33,
-      63, 64, 65, 100, 127, 128, 129, 255, 256, 257, 400};
+      1,  2,  3,  5,  7,   8,   9,   10,  15,  16,  17,  23,  31, 32,
+      33, 47, 48, 49, 63,  64,  65,  100, 127, 128, 129, 255, 256, 257, 400};
   return sizes;
 }
 

@@ -107,24 +107,11 @@ TEST(TensorTest, DebugStringTruncates) {
   EXPECT_NE(s.find("..."), std::string::npos);
 }
 
-TEST(TensorOpsTest, AddAndSub) {
-  Tensor a(Shape({3}), {1.0f, 2.0f, 3.0f});
-  Tensor b(Shape({3}), {10.0f, 20.0f, 30.0f});
-  Tensor sum = Add(a, b);
-  EXPECT_EQ(sum.at(2), 33.0f);
-  Tensor diff = Sub(b, a);
-  EXPECT_EQ(diff.at(0), 9.0f);
-}
-
-TEST(TensorOpsTest, ScaleAndAxpy) {
+TEST(TensorOpsTest, ScaleInPlace) {
   Tensor a(Shape({2}), {1.0f, -2.0f});
   ScaleInPlace(3.0f, &a);
   EXPECT_EQ(a.at(0), 3.0f);
   EXPECT_EQ(a.at(1), -6.0f);
-  Tensor b(Shape({2}), {1.0f, 1.0f});
-  Axpy(0.5f, a, &b);
-  EXPECT_EQ(b.at(0), 2.5f);
-  EXPECT_EQ(b.at(1), -2.0f);
 }
 
 TEST(TensorOpsTest, AddRowBias) {
@@ -162,13 +149,6 @@ TEST(TensorOpsTest, MaxAbsDiffAndAllClose) {
 
 TEST(TensorOpsTest, AllCloseShapeMismatch) {
   EXPECT_FALSE(AllClose(Tensor(Shape({2})), Tensor(Shape({3}))));
-}
-
-TEST(TensorOpsTest, ArgMaxRow) {
-  Tensor m(Shape({2, 4}),
-           {0.1f, 0.9f, 0.3f, 0.2f, 5.0f, 1.0f, 2.0f, 3.0f});
-  EXPECT_EQ(ArgMaxRow(m, 0), 1);
-  EXPECT_EQ(ArgMaxRow(m, 1), 0);
 }
 
 }  // namespace

@@ -175,12 +175,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_NE(v, original);  // astronomically unlikely to be identity
 }
 
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng parent(21);
-  Rng child = parent.Split();
-  EXPECT_NE(parent.NextU64(), child.NextU64());
-}
-
 TEST(CsvEscapeTest, PlainFieldUntouched) {
   EXPECT_EQ(CsvEscape("hello"), "hello");
 }
