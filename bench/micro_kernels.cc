@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the substrate kernels the reuse
 // savings are measured against: GEMM, im2col, LSH hashing, the full
-// clustered matmul vs its dense equivalent, and the ReLU and max-pool
-// layers between the convolutions.
+// clustered matmul vs its dense equivalent, the reuse forward's row
+// gather, and the ReLU and max-pool layers between the convolutions.
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column), so scaling of the parallel runtime is read
@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
 #include "bench_json_main.h"
 #include "core/clustered_matmul.h"
@@ -256,6 +257,50 @@ void ClusteredForwardArgs(benchmark::internal::Benchmark* bench) {
   }
 }
 BENCHMARK(BM_ClusteredForward)->Apply(ClusteredForwardArgs);
+
+// The reuse forward's reconstruction at perfbench's shapes (M = 32, about
+// r_c = 0.025 in conv1 and 0.05 in conv2): conv1's N = 16384 rows over 8
+// block tables of 400 clusters, conv2's 4096 rows over 80 tables of 200,
+// with the bias. Items = the adds, N * blocks * M.
+void BM_GatherAddRows(benchmark::State& state) {
+  SetupThreads(state);
+  const int64_t n = state.range(1);
+  const int64_t blocks = state.range(2);
+  const int64_t clusters = state.range(3);
+  const int64_t m = 32;
+  Rng rng(8);
+  std::vector<Tensor> tables;
+  std::vector<std::vector<int32_t>> ids(static_cast<size_t>(blocks));
+  std::vector<const float*> table_ptrs;
+  std::vector<const int32_t*> id_ptrs;
+  for (int64_t b = 0; b < blocks; ++b) {
+    tables.push_back(Tensor::RandomGaussian(Shape({clusters, m}), &rng));
+    std::vector<int32_t>& block_ids = ids[static_cast<size_t>(b)];
+    for (int64_t i = 0; i < n; ++i) {
+      block_ids.push_back(static_cast<int32_t>(rng.NextBounded(clusters)));
+    }
+    table_ptrs.push_back(tables.back().data());
+    id_ptrs.push_back(block_ids.data());
+  }
+  const Tensor bias = Tensor::RandomGaussian(Shape({m}), &rng);
+  Tensor y(Shape({n, m}));
+  for (auto _ : state) {
+    GatherClusterOutputs(table_ptrs.data(), id_ptrs.data(), blocks,
+                         bias.data(), n, m, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * blocks * m);
+}
+void GatherAddRowsArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"threads", "n", "blocks", "clusters"});
+  for (const auto shape : {std::array<int64_t, 3>{16384, 8, 400},
+                           std::array<int64_t, 3>{4096, 80, 200}}) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, shape[0], shape[1], shape[2]});
+    }
+  }
+}
+BENCHMARK(BM_GatherAddRows)->Apply(GatherAddRowsArgs);
 
 // The glue layers after conv1 at its output shape [16, 32, 32, 32]:
 // ReLU, then 2x2 / stride-2 max pooling. training = 1 also records what

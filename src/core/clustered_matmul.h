@@ -40,6 +40,20 @@ struct ForwardReuseResult {
   ForwardReuseStats stats;
 };
 
+/// \brief The reconstruction of every reuse forward (Eq. 5's N*(K/L)*M
+/// adds): row i of `y` (num_rows x m, overwritten) becomes
+///   ((+0 + T_0[ids[0][i]]) + ... + T_{B-1}[ids[B-1][i]]) + bias
+/// where T_b = tables[b] holds block b's cluster outputs (m floats a
+/// row), ids[b] its assignment, and `bias` (m floats) may be null. Blocks
+/// are added in ascending order, kGatherTables (8) per
+/// simd::Kernels::gather_add_rows call, so each row of y is loaded and
+/// stored once per group of 8 blocks, not once per block. Bitwise equal
+/// to zero-filling y, adding each block's rows and then the bias.
+void GatherClusterOutputs(const float* const* tables,
+                          const int32_t* const* ids, int64_t num_blocks,
+                          const float* bias, int64_t num_rows, int64_t m,
+                          float* y);
+
 /// \brief Computes y = x * W (+ bias) through centroid reuse.
 ///
 /// `x` is N x K row-major; `weight` is [K, M]; `bias` is [M] or nullptr;

@@ -1,9 +1,7 @@
 #include "core/reuse_backward.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <limits>
 
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
@@ -17,76 +15,98 @@ namespace adr {
 
 namespace {
 
-// Scratch of one ClusterRowSums call, sized for up to `max_clusters`
-// clusters so one allocation serves every block of a layer.
-struct RowSumsScratch {
-  int64_t* offsets;  // max_clusters + 1: CSR row pointers
-  int64_t* cursor;   // max_clusters: fill positions
-  int32_t* members;  // N: rows grouped by cluster, ascending
+// Blocks per row-sum sweep: one dy row feeds this many blocks' sums
+// while it is in L1.
+constexpr int64_t kGroupBlocks = simd::kGatherTables;
 
-  RowSumsScratch(ScratchAllocator* scratch, int64_t n, int64_t max_clusters)
-      : offsets(scratch->Array<int64_t>(max_clusters + 1)),
-        cursor(scratch->Array<int64_t>(max_clusters)),
-        members(scratch->Int32(n)) {}
-};
+// Rows of dy per step of the sweep: 8 KiB at m = 32, so the rows stay in
+// L1 while every block of the group adds them.
+constexpr int64_t kSweepRows = 64;
 
-void ClusterRowSumsWith(const float* dy, const Clustering& clustering,
-                        int64_t m, const RowSumsScratch& ws, float* sums) {
-  const simd::Kernels& kernels = simd::Active();
-  const int64_t n = clustering.num_rows();
-  const int64_t num_clusters = clustering.num_clusters();
-  ADR_CHECK_LE(n, std::numeric_limits<int32_t>::max());
+// The row sums of `count` <= kGroupBlocks blocks in one row-major sweep:
+// sums[u] (|C_u| x m) for blocks[u]. Range r's rows are added in ascending
+// order into a range sum per cluster, which starts at +0 and at the range
+// end is added to the cluster's sum (range 0 sums straight into it: a sum
+// from +0 is never -0, so +0 + S_0 is S_0). A cluster with no rows in a
+// range adds that range's +0, which changes no sum, since no sum is ever
+// -0. partials[u] is scratch of the size of sums[u].
+void GroupRowSums(const simd::Kernels& kernels, const float* dy, int64_t n,
+                  int64_t m, const Clustering* const* blocks, int64_t count,
+                  float* const* sums, float* const* partials) {
   const int64_t ranges = std::min<int64_t>(kReduceChunks, n);
-
-  // Stable CSR: members of cluster cl are rows members[offsets[cl] ..
-  // offsets[cl + 1]) in ascending order.
-  ws.offsets[0] = 0;
-  for (int64_t cl = 0; cl < num_clusters; ++cl) {
-    ws.offsets[cl + 1] =
-        ws.offsets[cl] + clustering.cluster_sizes[static_cast<size_t>(cl)];
-    ws.cursor[cl] = ws.offsets[cl];
+  for (int64_t u = 0; u < count; ++u) {
+    const int64_t floats = blocks[u]->num_clusters() * m;
+    std::fill_n(sums[u], floats, 0.0f);
+    std::fill_n(partials[u], floats, 0.0f);
   }
-  ADR_CHECK_EQ(ws.offsets[num_clusters], n);
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t cl = clustering.assignment[static_cast<size_t>(i)];
-    ws.members[ws.cursor[cl]++] = static_cast<int32_t>(i);
-  }
-
-  // Each cluster's members split at the range bounds into segments, one
-  // per range holding rows of the cluster. A range without such rows
-  // would add +0 to the sum; the sum starts at +0 and so is never -0,
-  // and x + (+0) == x for every such x, so empty ranges are left out.
-  const auto sum_clusters = [&](int64_t begin, int64_t end) {
-    std::array<int64_t, kReduceChunks + 1> seg;
-    for (int64_t cl = begin; cl < end; ++cl) {
-      const int32_t* rows = ws.members + ws.offsets[cl];
-      const int64_t count = ws.offsets[cl + 1] - ws.offsets[cl];
-      int64_t num_segs = 0;
-      int64_t range = -1;
-      int64_t range_end = 0;
-      for (int64_t p = 0; p < count; ++p) {
-        if (rows[p] < range_end) continue;
-        do {
-          ++range;
-          range_end = (range + 1) * n / ranges;
-        } while (rows[p] >= range_end);
-        seg[static_cast<size_t>(num_segs++)] = p;
+  for (int64_t r = 0; r < ranges; ++r) {
+    const int64_t range_end = (r + 1) * n / ranges;
+    for (int64_t row = r * n / ranges; row < range_end; row += kSweepRows) {
+      const int64_t rows = std::min(kSweepRows, range_end - row);
+      for (int64_t u = 0; u < count; ++u) {
+        kernels.scatter_add_rows(dy + row * m, m, rows,
+                                 blocks[u]->assignment.data() + row,
+                                 r == 0 ? sums[u] : partials[u], m);
       }
-      seg[static_cast<size_t>(num_segs)] = count;
-      kernels.segment_row_sums(dy, m, rows, seg.data(), num_segs,
-                               sums + cl * m, m);
     }
-  };
-  const int64_t rows_per_cluster = n / std::max<int64_t>(1, num_clusters);
-  ParallelFor(num_clusters,
-              GrainForCost(std::max<int64_t>(1, rows_per_cluster) * m),
-              sum_clusters);
+    if (r == 0) continue;
+    for (int64_t u = 0; u < count; ++u) {
+      const int64_t floats = blocks[u]->num_clusters() * m;
+      kernels.add(partials[u], sums[u], floats);
+      std::fill_n(partials[u], floats, 0.0f);
+    }
+  }
 }
+
+// How a per-block pass splits the blocks: one ParallelFor chunk of `grain`
+// consecutive blocks per thread, each walked in groups of `group` blocks
+// with its own group buffers. The split decides only where blocks run;
+// every block's results are the same in any split.
+struct BlockGroups {
+  int64_t num_blocks;
+  int64_t grain;
+  int64_t group;
+  int64_t chunks;
+
+  explicit BlockGroups(int64_t blocks)
+      : num_blocks(blocks),
+        grain(std::max<int64_t>(
+            1, (blocks + ThreadPool::GlobalThreads() - 1) /
+                   ThreadPool::GlobalThreads())),
+        group(std::min(grain, kGroupBlocks)),
+        chunks((blocks + grain - 1) / grain) {}
+
+  // `slots` buffers of `floats` floats for each chunk, each its own arena
+  // allocation: one buffer of all of them would be the arena's largest
+  // request, and a large overflow slab, freed when the arena
+  // consolidates, raises glibc's mmap threshold and moves later tensor
+  // allocations onto the heap (perfbench train_reuse peak RSS read up to
+  // 19 MB higher that way).
+  float** Buffers(ScratchAllocator* scratch, int64_t slots,
+                  int64_t floats) const {
+    float** buffers = scratch->Array<float*>(chunks * slots);
+    for (int64_t i = 0; i < chunks * slots; ++i) {
+      buffers[i] = scratch->Floats(floats);
+    }
+    return buffers;
+  }
+
+  // Runs body(first, count, chunk) for every group of blocks
+  // [first, first + count), where chunk numbers the ParallelFor chunk.
+  template <typename Body>
+  void ForEach(Body body) const {
+    ParallelFor(num_blocks, grain, [&](int64_t begin, int64_t end) {
+      for (int64_t first = begin; first < end; first += group) {
+        body(first, std::min(group, end - first), begin / grain);
+      }
+    });
+  }
+};
 
 // One column block's centroid delta dx_{c,I} (|C_I| x L_I) and what the
 // row gather needs to expand it.
 struct BlockDelta {
-  const float* dx_c;
+  float* dx_c;
   const int32_t* assignment;
   int64_t length;
   int64_t col_offset;
@@ -112,7 +132,9 @@ void GatherRow(const BlockDelta* deltas, int64_t num_blocks, int64_t row,
 // Everything of the reuse backward except expanding dx: grad_bias,
 // grad_weight and, when `input_delta` is set, each block's centroid
 // delta, returned as one BlockDelta per block (bumped from `scratch`,
-// like the deltas themselves; null without `input_delta`).
+// like the deltas themselves; null without `input_delta`). Blocks run in
+// parallel, group by group: one sweep of dy sums a group's rows, then
+// each of its blocks runs its two GEMMs.
 const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
                                  const Tensor& weight, const float* dy,
                                  bool input_delta, ScratchAllocator* scratch,
@@ -127,59 +149,74 @@ const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
 
   ColumnSumsInto(dy, n, m, grad_bias);
 
-  // The row sums are consumed within their block, so one buffer sized
-  // for the largest block serves all of them.
+  const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
   int64_t max_clusters = 0;
   for (const SubMatrixClustering& block : clustering.blocks) {
     max_clusters = std::max(max_clusters, block.clustering.num_clusters());
   }
-  float* sums = scratch->Floats(max_clusters * m);
-  const RowSumsScratch row_sums(scratch, n, max_clusters);
-  const int64_t num_blocks = static_cast<int64_t>(clustering.blocks.size());
   BlockDelta* deltas =
       input_delta ? scratch->Array<BlockDelta>(num_blocks) : nullptr;
-
-  for (int64_t b = 0; b < num_blocks; ++b) {
+  for (int64_t b = 0; input_delta && b < num_blocks; ++b) {
     const SubMatrixClustering& block =
         clustering.blocks[static_cast<size_t>(b)];
-    const int64_t num_clusters = block.clustering.num_clusters();
-    const int64_t length = block.length;
-    const float* w_block = weight.data() + block.col_offset * m;
+    deltas[b] = BlockDelta{
+        scratch->Floats(block.clustering.num_clusters() * block.length),
+        block.clustering.assignment.data(), block.length, block.col_offset};
+  }
+  // Per chunk, a group's row sums and range sums; the row sums are
+  // consumed within their group.
+  const BlockGroups groups(num_blocks);
+  float** buffers = groups.Buffers(scratch, 2 * groups.group,
+                                   max_clusters * m);
 
+  groups.ForEach([&](int64_t first, int64_t count, int64_t chunk) {
+    float* const* sums = buffers + chunk * 2 * groups.group;
+    const Clustering* group_blocks[kGroupBlocks];
+    for (int64_t u = 0; u < count; ++u) {
+      group_blocks[u] =
+          &clustering.blocks[static_cast<size_t>(first + u)].clustering;
+    }
     // dy_{c,s}: sum the dy rows of each cluster (Eq. 8).
     {
       ADR_TRACE_SPAN("cluster_row_sums");
-      ClusterRowSumsWith(dy, block.clustering, m, row_sums, sums);
+      GroupRowSums(kernels, dy, n, m, group_blocks, count, sums,
+                   sums + groups.group);
     }
+    for (int64_t u = 0; u < count; ++u) {
+      const SubMatrixClustering& block =
+          clustering.blocks[static_cast<size_t>(first + u)];
+      const int64_t num_clusters = block.clustering.num_clusters();
+      const int64_t length = block.length;
+      float* block_sums = sums[u];
+
+      // dW_I = x_c^T * dy_{c,s} (Eq. 10), written into rows
+      // [col_offset, col_offset + L) of dW. The blocks tile [0, K), so dW
+      // is fully overwritten.
+      GemmTransA(block.centroids.data(), block_sums,
+                 grad_weight + block.col_offset * m, length, num_clusters, m);
+      if (!input_delta) continue;
+
+      // dy_{c,sa}: average instead of sum (divide each row by N_l).
+      for (int64_t c = 0; c < num_clusters; ++c) {
+        kernels.scale(1.0f / static_cast<float>(
+                                 block.clustering
+                                     .cluster_sizes[static_cast<size_t>(c)]),
+                      block_sums + c * m, m);
+      }
+
+      // dx_c = dy_{c,sa} * W_I^T (Eq. 18).
+      GemmTransB(block_sums, weight.data() + block.col_offset * m,
+                 deltas[first + u].dx_c, num_clusters, m, length);
+    }
+  });
+
+  for (const SubMatrixClustering& block : clustering.blocks) {
+    const int64_t num_clusters = block.clustering.num_clusters();
+    const double gemm_macs =
+        static_cast<double>(num_clusters) * block.length * m;
     stats->macs += static_cast<double>(n - num_clusters) * m;
-
-    // dW_I = x_c^T * dy_{c,s} (Eq. 10), written into rows
-    // [col_offset, col_offset + L) of dW. The blocks tile [0, K), so dW
-    // is fully overwritten.
-    GemmTransA(block.centroids.data(), sums,
-               grad_weight + block.col_offset * m, length, num_clusters, m);
-    stats->macs += static_cast<double>(num_clusters) * length * m;
-    if (!input_delta) continue;
-
-    // dy_{c,sa}: average instead of sum (divide each row by N_l).
-    ParallelFor(num_clusters, GrainForCost(m),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t c = begin; c < end; ++c) {
-                    kernels.scale(
-                        1.0f / static_cast<float>(
-                                   block.clustering.cluster_sizes
-                                       [static_cast<size_t>(c)]),
-                        sums + c * m, m);
-                  }
-                });
-
-    // dx_c = dy_{c,sa} * W_I^T (Eq. 18).
-    float* dx_c = scratch->Floats(num_clusters * length);
-    GemmTransB(sums, w_block, dx_c, num_clusters, m, length);
-    stats->macs += static_cast<double>(num_clusters) * length * m;
-
-    deltas[b] = BlockDelta{dx_c, block.clustering.assignment.data(), length,
-                           block.col_offset};
+    stats->macs += gemm_macs;
+    if (input_delta) stats->macs += gemm_macs;
   }
   stats->macs_baseline =
       (input_delta ? 2.0 : 1.0) * static_cast<double>(n) * k * m;
@@ -188,11 +225,23 @@ const BlockDelta* CentroidDeltas(const ReuseClustering& clustering,
 
 }  // namespace
 
-void ClusterRowSums(const float* dy, const Clustering& clustering, int64_t m,
-                    ScratchAllocator* scratch, float* sums) {
-  const RowSumsScratch ws(scratch, clustering.num_rows(),
-                          clustering.num_clusters());
-  ClusterRowSumsWith(dy, clustering, m, ws, sums);
+void ClusterRowSums(const float* dy, int64_t m,
+                    const Clustering* const* blocks, int64_t num_blocks,
+                    ScratchAllocator* scratch, float* const* sums) {
+  if (num_blocks == 0) return;
+  const simd::Kernels& kernels = simd::Active();
+  const int64_t n = blocks[0]->num_rows();
+  int64_t stride = 0;
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    ADR_CHECK_EQ(blocks[b]->num_rows(), n);
+    stride = std::max(stride, blocks[b]->num_clusters() * m);
+  }
+  const BlockGroups groups(num_blocks);
+  float** partials = groups.Buffers(scratch, groups.group, stride);
+  groups.ForEach([&](int64_t first, int64_t count, int64_t chunk) {
+    GroupRowSums(kernels, dy, n, m, blocks + first, count, sums + first,
+                 partials + chunk * groups.group);
+  });
 }
 
 void ReuseBackwardFoldInto(const ReuseClustering& clustering,

@@ -60,19 +60,22 @@ void ReuseBackwardFoldInto(const ReuseClustering& clustering,
 /// \brief Fixed number of row ranges of ClusterRowSums' reduction.
 inline constexpr int64_t kReduceChunks = 8;
 
-/// \brief dy_{c,s} (Eq. 8): `sums` (|C| x m, overwritten) receives, per
-/// cluster, the sum of the rows of `dy` (N x m) assigned to it.
+/// \brief dy_{c,s} (Eq. 8) of `num_blocks` clusterings of the same N
+/// rows: sums[b] (|C_b| x m, overwritten) receives, per cluster of
+/// blocks[b], the sum of the rows of `dy` (N x m) assigned to it.
 ///
 /// The rows are split into min(kReduceChunks, N) fixed ranges
 /// [c*N/chunks, (c+1)*N/chunks). Each cluster sums its rows of one range
 /// from +0 in ascending row order, and adds the range sums to its sum
 /// (seeded +0) in ascending range order. The order depends only on N, so
-/// the sums are bitwise identical at any thread count. Each cluster finds
-/// its rows through a CSR member list (scratch bumped from `scratch`) and
-/// keeps both sums in registers (simd::Kernels::segment_row_sums), so no
-/// chunks x |C| x m partial buffer exists.
-void ClusterRowSums(const float* dy, const Clustering& clustering, int64_t m,
-                    ScratchAllocator* scratch, float* sums);
+/// the sums are bitwise identical at any thread count. Blocks run in
+/// parallel, up to 8 at a time in one row-major sweep of dy that adds
+/// each row into the range sums of every block of the group, then folds
+/// the range sums into the cluster sums at each range end. Range sums
+/// are bumped from `scratch`, one |C| x m buffer per block of a group.
+void ClusterRowSums(const float* dy, int64_t m,
+                    const Clustering* const* blocks, int64_t num_blocks,
+                    ScratchAllocator* scratch, float* const* sums);
 
 }  // namespace adr
 

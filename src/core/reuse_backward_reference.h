@@ -5,9 +5,9 @@
 // N below or not divisible by kReduceChunks).
 //
 // Not used on any production path: it zero-fills, fills and re-reads a
-// chunks x |C| x m partial buffer per call, which is exactly the memory
-// traffic the CSR formulation removes. Header-only so only test and
-// bench targets pay for it.
+// chunks x |C| x m partial buffer per block, where ClusterRowSums keeps
+// one range's sums per block and folds them as each range ends.
+// Header-only so only test and bench targets pay for it.
 
 #ifndef ADR_CORE_REUSE_BACKWARD_REFERENCE_H_
 #define ADR_CORE_REUSE_BACKWARD_REFERENCE_H_

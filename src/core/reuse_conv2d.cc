@@ -84,6 +84,7 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   // handed out since the previous Reset() is invalidated here.
   arena_.Reset();
   cached_cols_data_ = nullptr;
+  rows_data_ = nullptr;
   backward_clustering_ = nullptr;
   // Eval mode caches nothing: Backward requires a training Forward.
   cached_batch_ = training ? batch : 0;
@@ -110,6 +111,7 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
                                      : n;
   ForwardReuseStats fs;
   float* y = arena_.AllocFloats(n * m);
+  rows_data_ = y;
 
   if (reuse_.method == ClusteringMethod::kKMeans) {
     // K-means needs iterative passes over the rows, so it materializes
@@ -303,7 +305,7 @@ void ReuseConv2d::RunBackward(const Tensor& grad_output, Tensor* grad_input) {
   ADR_CHECK(grad_output.shape() == Shape({cached_batch_, m,
                                           geo.out_height(),
                                           geo.out_width()}));
-  float* dy = arena_.AllocFloats(n * m);
+  float* dy = rows_data_;
   NchwToRows(grad_output, dy);
   if (grad_input != nullptr) {
     *grad_input = Tensor(Shape({cached_batch_, config_.in_channels,

@@ -125,6 +125,10 @@ class ReuseConv2d : public Layer {
   /// Arena-owned [N, K] unfolded input, valid until the next Reset();
   /// non-null only when the exact backward needs it.
   float* cached_cols_data_ = nullptr;
+  /// Arena-owned [N, M] output rows of the last reuse Forward. They are
+  /// dead once transposed to NCHW, so the reuse backward reads dy there
+  /// instead of growing the arena by another N x M.
+  float* rows_data_ = nullptr;
   int64_t cached_batch_ = 0;
 
   ReuseLayerStats stats_;

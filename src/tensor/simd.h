@@ -56,6 +56,9 @@ inline constexpr int kMaxWidth = 16;
 /// \brief 64-bit words per packed sign signature (up to 128 hash bits).
 inline constexpr int kSignatureWords = 2;
 
+/// \brief Most tables one Kernels::gather_add_rows call adds per row.
+inline constexpr int kGatherTables = 8;
+
 /// \brief One backend's implementations of the hot-path primitives.
 struct Kernels {
   Isa isa = Isa::kScalar;
@@ -64,17 +67,21 @@ struct Kernels {
 
   /// y[i] += x[i]
   void (*add)(const float* x, float* y, int64_t n);
-  /// Row sums with a fixed two-level order, the cluster row sums of the
-  /// reuse backward. The listed rows x[rows[r] * ldx ...] are split into
-  /// segments [seg[g], seg[g + 1]) for g < num_segs; each segment is summed
-  /// from +0 one row at a time in list order, and
-  ///   y[i] = (((+0 + S_0[i]) + S_1[i]) + ...) + S_{num_segs - 1}[i]
-  /// overwrites y. Both sums stay in registers; every lane sees the same
-  /// single-rounding adds on every backend, so the result is bitwise
-  /// backend-independent.
-  void (*segment_row_sums)(const float* x, int64_t ldx, const int32_t* rows,
-                           const int64_t* seg, int64_t num_segs, float* y,
-                           int64_t n);
+  /// Gathered row sums, the back half of the reuse forward: for every row
+  /// i in [begin, end) and column j < n,
+  ///   y[i * n + j] = (((s + t_0[j]) + t_1[j]) + ... + t_{T-1}[j]) + b[j]
+  /// where t_u is row ids[u][i] of table `tables[u]` (rows of n floats),
+  /// T = num_tables <= kGatherTables, s is +0 when `accumulate` is false
+  /// and the old y[i * n + j] when it is true, and the bias term b is
+  /// added last only when `bias` is not null. Each element is loaded and
+  /// stored once; the adds run in registers in exactly this order on
+  /// every backend, so the result is bitwise backend-independent and
+  /// equal to zero-filling y, adding each table row with `add` and then
+  /// the bias. Tail lanes are masked: nothing past n floats is touched.
+  void (*gather_add_rows)(const float* const* tables,
+                          const int32_t* const* ids, int num_tables,
+                          int64_t begin, int64_t end, const float* bias,
+                          bool accumulate, float* y, int64_t n);
   /// Centroid sums of the streaming clusterer: for r = 0, 1, ..., rows - 1
   /// in order, sums[ids[r] * n + i] += x[r * ldx + i] for every i < n.
   /// Every lane sees the same single-rounding adds in the same row order,

@@ -29,10 +29,9 @@
 //   MaskLoadBytes(p, count) / MaskStoreBytes(p, count, v) — LoadBytes /
 //     StoreBytes over the first count bytes.
 //
-// The element-wise kernels, the GEMM, the pooling rows and the edge tiles
-// of transpose run remainder lanes in these partial registers;
-// segment_row_sums keeps a scalar tail loop. The golden harness sweeps
-// such shapes explicitly.
+// The element-wise kernels, the GEMM, the row gathers, the pooling rows
+// and the edge tiles of transpose run remainder lanes in these partial
+// registers. The golden harness sweeps such shapes explicitly.
 
 #ifndef ADR_TENSOR_SIMD_KERNELS_INL_H_
 #define ADR_TENSOR_SIMD_KERNELS_INL_H_
@@ -508,56 +507,73 @@ void AddImpl(const float* x, float* y, int64_t n) {
   });
 }
 
-// One pass of segment_row_sums over C registers of y at a time, from
-// column i; returns where it stopped. The total and the segment sum of
-// each register stay in registers across all rows.
-template <typename Ops, int C>
-int64_t SegmentRowSumsPass(const float* x, int64_t ldx, const int32_t* rows,
-                           const int64_t* seg, int64_t num_segs, float* y,
-                           int64_t i, int64_t n) {
+// C registers of one gather_add_rows row from column j (io whole or
+// partial): each sum starts at +0 or y, takes the row of every table in
+// order, then the bias, and is stored once.
+template <typename Ops, int C, typename Io>
+[[gnu::always_inline]] inline void GatherAddRegisters(
+    const float* const* src, int num_tables, const float* bias,
+    bool accumulate, float* y, int64_t j, Io io) {
   using Reg = typename Ops::Reg;
   constexpr int64_t kW = Ops::kWidth;
-  for (; i + C * kW <= n; i += C * kW) {
-    Reg total[C];
+  Reg acc[C];
 #pragma GCC unroll 4
-    for (int c = 0; c < C; ++c) total[c] = Ops::Zero();
-    for (int64_t g = 0; g < num_segs; ++g) {
-      Reg sum[C];
-#pragma GCC unroll 4
-      for (int c = 0; c < C; ++c) sum[c] = Ops::Zero();
-      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) {
-        const float* row = x + rows[r] * ldx + i;
-#pragma GCC unroll 4
-        for (int c = 0; c < C; ++c) {
-          sum[c] = Ops::Add(sum[c], Ops::Load(row + c * kW));
-        }
-      }
-#pragma GCC unroll 4
-      for (int c = 0; c < C; ++c) total[c] = Ops::Add(total[c], sum[c]);
-    }
-#pragma GCC unroll 4
-    for (int c = 0; c < C; ++c) Ops::Store(y + i + c * kW, total[c]);
+  for (int c = 0; c < C; ++c) {
+    acc[c] = accumulate ? io.Load(y + j + c * kW) : Ops::Zero();
   }
-  return i;
+  for (int t = 0; t < num_tables; ++t) {
+#pragma GCC unroll 4
+    for (int c = 0; c < C; ++c) {
+      acc[c] = Ops::Add(acc[c], io.Load(src[t] + j + c * kW));
+    }
+  }
+  if (bias != nullptr) {
+#pragma GCC unroll 4
+    for (int c = 0; c < C; ++c) {
+      acc[c] = Ops::Add(acc[c], io.Load(bias + j + c * kW));
+    }
+  }
+#pragma GCC unroll 4
+  for (int c = 0; c < C; ++c) io.Store(y + j + c * kW, acc[c]);
 }
 
-// Four registers per pass, then two (at 16 lanes a 32-wide row, perfbench's
-// M = 32, in one pass), then one, then scalar lanes.
+// Rows one at a time; within a row, four registers per step (at 16 lanes
+// a 64-wide row, at 8 lanes perfbench's M = 32), then two, then one, then
+// one partial register for the last n % kWidth lanes.
 template <typename Ops>
-void SegmentRowSumsImpl(const float* x, int64_t ldx, const int32_t* rows,
-                        const int64_t* seg, int64_t num_segs, float* y,
-                        int64_t n) {
-  int64_t i = SegmentRowSumsPass<Ops, 4>(x, ldx, rows, seg, num_segs, y, 0, n);
-  i = SegmentRowSumsPass<Ops, 2>(x, ldx, rows, seg, num_segs, y, i, n);
-  i = SegmentRowSumsPass<Ops, 1>(x, ldx, rows, seg, num_segs, y, i, n);
-  for (; i < n; ++i) {
-    float total = 0.0f;
-    for (int64_t g = 0; g < num_segs; ++g) {
-      float sum = 0.0f;
-      for (int64_t r = seg[g]; r < seg[g + 1]; ++r) sum += x[rows[r] * ldx + i];
-      total += sum;
+void GatherAddRowsImpl(const float* const* tables, const int32_t* const* ids,
+                       int num_tables, int64_t begin, int64_t end,
+                       const float* bias, bool accumulate, float* y,
+                       int64_t n) {
+  constexpr int64_t kW = Ops::kWidth;
+  const float* src[kGatherTables];
+  for (int64_t i = begin; i < end; ++i) {
+    for (int t = 0; t < num_tables; ++t) {
+      src[t] = tables[t] + static_cast<int64_t>(ids[t][i]) * n;
     }
-    y[i] = total;
+    float* yr = y + i * n;
+    int64_t j = 0;
+    for (; j + 4 * kW <= n; j += 4 * kW) {
+      GatherAddRegisters<Ops, 4>(src, num_tables, bias, accumulate, yr, j,
+                                 WholeRegister<Ops>());
+    }
+    if (j + 2 * kW <= n) {
+      GatherAddRegisters<Ops, 2>(src, num_tables, bias, accumulate, yr, j,
+                                 WholeRegister<Ops>());
+      j += 2 * kW;
+    }
+    if (j + kW <= n) {
+      GatherAddRegisters<Ops, 1>(src, num_tables, bias, accumulate, yr, j,
+                                 WholeRegister<Ops>());
+      j += kW;
+    }
+    if constexpr (kW > 1) {
+      if (j < n) {
+        GatherAddRegisters<Ops, 1>(
+            src, num_tables, bias, accumulate, yr, j,
+            PartialRegister<Ops>(static_cast<int>(n - j)));
+      }
+    }
   }
 }
 
@@ -983,7 +999,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.name = name;
   kernels.width = Ops::kWidth;
   kernels.add = &AddImpl<Ops>;
-  kernels.segment_row_sums = &SegmentRowSumsImpl<Ops>;
+  kernels.gather_add_rows = &GatherAddRowsImpl<Ops>;
   kernels.scatter_add_rows = &ScatterAddRowsImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;

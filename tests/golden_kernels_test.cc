@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,46 +145,100 @@ TEST(GoldenKernels, AddAndScaleMatchScalarBitwise) {
   }
 }
 
-TEST(GoldenKernels, SegmentRowSumsMatchScalarOrderBitwise) {
-  // Rows out of order and repeated, an empty segment, -0.0 entries (a
-  // segment of -0 rows sums to +0, never -0), every remainder width.
-  const std::vector<int32_t> rows = {3, 0, 5, 3, 1, 6, 2, 4};
-  const std::vector<std::vector<int64_t>> segmentations = {
-      {0, 0}, {0, 1}, {0, 8}, {0, 3, 3, 4, 8}, {0, 1, 2, 5, 6, 7, 8}};
+// The reuse forward's back half as it was before gather_add_rows: y
+// zero-filled, each block's table row added with `add`, then AddRowBias.
+std::vector<float> PerBlockAddThenBias(
+    const std::vector<std::vector<float>>& tables,
+    const std::vector<std::vector<int32_t>>& ids, const float* bias,
+    int64_t rows, int64_t m) {
+  std::vector<float> y(static_cast<size_t>(rows * m), 0.0f);
+  for (size_t b = 0; b < tables.size(); ++b) {
+    for (int64_t i = 0; i < rows; ++i) {
+      simd::Scalar().add(tables[b].data() + ids[b][static_cast<size_t>(i)] * m,
+                         y.data() + i * m, m);
+    }
+  }
+  if (bias != nullptr) AddRowBias(bias, y.data(), rows, m);
+  return y;
+}
+
+TEST(GoldenKernels, GatherAddRowsEqualsPerBlockAddThenBiasBitwise) {
+  // Groups of kGatherTables blocks: one group (1, 7, 8 blocks), a full
+  // group and a group of one (9), and ten groups (80), so first, middle
+  // and last groups all run. Every table holds -0.0 entries, and element
+  // 0 of row 0 is -0.0 in every table: its sum must start from +0 and
+  // come out +0 without bias, as the zero-filled y did.
+  const int64_t rows = 11;
   for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const int64_t ldx = n + 3;
-      std::vector<float> x = RandomVector(7 * ldx, 600 + n);
-      for (int64_t i = 0; i < 7 * ldx; i += 5) {
-        x[static_cast<size_t>(i)] = -0.0f;
-      }
-      for (int64_t i = 0; i < n; ++i) x[static_cast<size_t>(i)] = -0.0f;
-      for (const std::vector<int64_t>& seg : segmentations) {
-        const int64_t num_segs = static_cast<int64_t>(seg.size()) - 1;
-        std::vector<float> expected(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          float total = 0.0f;
-          for (int64_t g = 0; g < num_segs; ++g) {
-            float sum = 0.0f;
-            for (int64_t r = seg[static_cast<size_t>(g)];
-                 r < seg[static_cast<size_t>(g + 1)]; ++r) {
-              sum += x[static_cast<size_t>(rows[static_cast<size_t>(r)] *
-                                               ldx +
-                                           i)];
-            }
-            total += sum;
+    for (const int64_t m : {1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 49, 67}) {
+      for (const int64_t num_blocks : {1, 7, 8, 9, 80}) {
+        std::vector<std::vector<float>> tables;
+        std::vector<std::vector<int32_t>> ids;
+        Rng rng(static_cast<uint64_t>(700 + m * 97 + num_blocks));
+        for (int64_t b = 0; b < num_blocks; ++b) {
+          const int64_t clusters = 1 + (b % 5);
+          std::vector<float> table =
+              RandomVector(clusters * m, static_cast<uint64_t>(800 + b + m));
+          for (int64_t i = 0; i < clusters * m; i += 3) {
+            table[static_cast<size_t>(i)] = -0.0f;
           }
-          expected[static_cast<size_t>(i)] = total;
+          std::vector<int32_t> row_ids(static_cast<size_t>(rows));
+          for (int32_t& id : row_ids) {
+            id = static_cast<int32_t>(rng.NextBounded(clusters));
+          }
+          row_ids[0] = 0;
+          tables.push_back(std::move(table));
+          ids.push_back(std::move(row_ids));
         }
-        std::vector<float> actual(static_cast<size_t>(n) + 4, 99.0f);
-        backend->segment_row_sums(x.data(), ldx, rows.data(), seg.data(),
-                                  num_segs, actual.data(), n);
-        EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                              static_cast<size_t>(n) * sizeof(float)),
-                  0)
-            << backend->name << " n=" << n << " segments=" << num_segs;
-        for (size_t i = static_cast<size_t>(n); i < actual.size(); ++i) {
-          EXPECT_EQ(actual[i], 99.0f) << backend->name << " n=" << n;
+        std::vector<const float*> table_ptrs;
+        std::vector<const int32_t*> id_ptrs;
+        for (int64_t b = 0; b < num_blocks; ++b) {
+          table_ptrs.push_back(tables[static_cast<size_t>(b)].data());
+          id_ptrs.push_back(ids[static_cast<size_t>(b)].data());
+        }
+        const std::vector<float> bias = RandomVector(m, 900 + m);
+        for (const bool with_bias : {false, true}) {
+          SCOPED_TRACE(std::string(backend->name) + " m=" +
+                       std::to_string(m) + " blocks=" +
+                       std::to_string(num_blocks) +
+                       (with_bias ? " bias" : ""));
+          const float* b = with_bias ? bias.data() : nullptr;
+          const std::vector<float> expected =
+              PerBlockAddThenBias(tables, ids, b, rows, m);
+          // Rows [2, rows - 1) only, in y with a row of guard values on
+          // either side: nothing outside the rows' n floats is written.
+          const int64_t begin = 2, end = rows - 1;
+          std::vector<float> y(static_cast<size_t>(rows * m), 99.0f);
+          for (int64_t g = 0; g < num_blocks; g += simd::kGatherTables) {
+            const int count = static_cast<int>(
+                std::min<int64_t>(simd::kGatherTables, num_blocks - g));
+            backend->gather_add_rows(table_ptrs.data() + g,
+                                     id_ptrs.data() + g, count, begin, end,
+                                     g + count == num_blocks ? b : nullptr,
+                                     /*accumulate=*/g > 0, y.data(), m);
+          }
+          EXPECT_TRUE(SameBits(y.data() + begin * m,
+                               expected.data() + begin * m,
+                               (end - begin) * m));
+          for (int64_t i = 0; i < rows * m; ++i) {
+            if (i < begin * m || i >= end * m) {
+              ASSERT_EQ(y[static_cast<size_t>(i)], 99.0f) << "i=" << i;
+            }
+          }
+          // Row 0 too, whose element 0 is -0.0 in every table.
+          std::vector<float> row0(static_cast<size_t>(m), 99.0f);
+          for (int64_t g = 0; g < num_blocks; g += simd::kGatherTables) {
+            const int count = static_cast<int>(
+                std::min<int64_t>(simd::kGatherTables, num_blocks - g));
+            backend->gather_add_rows(table_ptrs.data() + g,
+                                     id_ptrs.data() + g, count, 0, 1,
+                                     g + count == num_blocks ? b : nullptr,
+                                     g > 0, row0.data(), m);
+          }
+          EXPECT_TRUE(SameBits(row0.data(), expected.data(), m));
+          if (!with_bias) {
+            EXPECT_FALSE(std::signbit(row0[0]));
+          }
         }
       }
     }

@@ -77,19 +77,21 @@ TEST(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
 }
 
 // Runs one forward + backward on a fresh, identically seeded layer and
-// returns (output, grad_input, grad_weight, grad_bias).
-std::vector<Tensor> RunReuseLayer(const Tensor& input,
-                                  const Tensor& grad_out) {
+// returns (output, grad_input, grad_weight, grad_bias). The input is
+// [batch, in_channels, 8, 8]; the layer has 8 output channels.
+std::vector<Tensor> RunReuseLayer(const Tensor& input, const Tensor& grad_out,
+                                  int64_t kernel = 3,
+                                  int64_t sub_vector_length = 9) {
   Conv2dConfig conv;
-  conv.in_channels = 3;
+  conv.in_channels = input.shape()[1];
   conv.out_channels = 8;
-  conv.kernel = 3;
+  conv.kernel = kernel;
   conv.stride = 1;
-  conv.pad = 1;
+  conv.pad = kernel / 2;
   conv.in_height = 8;
   conv.in_width = 8;
   ReuseConfig reuse = ReuseConfigBuilder()
-                          .SubVectorLength(9)
+                          .SubVectorLength(sub_vector_length)
                           .NumHashes(10)
                           .ClusterReuse(true)
                           .BuildUnchecked();
@@ -120,6 +122,34 @@ TEST(ParallelDeterminismTest, ReuseConv2dBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(run.size(), reference.size());
     for (size_t i = 0; i < run.size(); ++i) {
       ExpectBitIdentical(run[i], reference[i], names[i], threads);
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, ReuseConv2dBlockGroupsBitIdenticalAcrossThreads) {
+  // 5x5 kernels at L = 10: 3 input channels give conv1's 8 blocks (one
+  // group), 8 give 20 blocks (groups of 8, 8 and 4 at one thread), 13
+  // give 33 (a last group of one). The forward adds the blocks group by
+  // group per row and the backward sums rows group by group, split over
+  // the threads by blocks.
+  ThreadCountGuard guard;
+  const char* names[] = {"output", "grad_input", "grad_weight", "grad_bias"};
+  for (const int64_t channels : {3, 8, 13}) {
+    SCOPED_TRACE(::testing::Message() << channels << " input channels");
+    Rng rng(static_cast<uint64_t>(53 + channels));
+    const Tensor input =
+        Tensor::RandomGaussian(Shape({4, channels, 8, 8}), &rng);
+    const Tensor grad_out = Tensor::RandomGaussian(Shape({4, 8, 8, 8}), &rng);
+    ThreadPool::SetGlobalThreads(1);
+    const std::vector<Tensor> reference =
+        RunReuseLayer(input, grad_out, /*kernel=*/5, /*sub_vector_length=*/10);
+    for (const int threads : {2, 4}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const std::vector<Tensor> run = RunReuseLayer(input, grad_out, 5, 10);
+      ASSERT_EQ(run.size(), reference.size());
+      for (size_t i = 0; i < run.size(); ++i) {
+        ExpectBitIdentical(run[i], reference[i], names[i], threads);
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // Tests for ReuseBackward (paper Section IV): exactness in the singleton
 // limit, the averaging semantics of Eq. 13, MAC accounting, and bitwise
-// agreement of the fused fold and the CSR row sums with their references.
+// agreement of the fused fold and the grouped row sums with their
+// references.
 
 #include <gtest/gtest.h>
 
@@ -275,33 +276,51 @@ TEST(ReuseBackwardFoldTest, FusedFoldEqualsCol2ImOfMaterializedGradX) {
   }
 }
 
-// Row sums of `dy` (n x m) under `clustering`, CSR form vs the
-// chunk-partial reference, on every backend and thread count.
+// Row sums of `dy` (n x m) under each of `blocks`, the grouped sweep vs
+// the chunk-partial reference, on every backend and thread count.
 void ExpectRowSumsMatchReference(const std::vector<float>& dy,
-                                 const Clustering& clustering, int64_t m) {
-  const int64_t n = clustering.num_rows();
-  const int64_t num_clusters = clustering.num_clusters();
+                                 const std::vector<Clustering>& blocks,
+                                 int64_t m) {
+  const int64_t n = blocks.front().num_rows();
   const int64_t chunks = std::min<int64_t>(kReduceChunks, n);
-  std::vector<float> partials(static_cast<size_t>(chunks * num_clusters * m));
-  std::vector<float> expected(static_cast<size_t>(num_clusters * m));
+  const int64_t num_blocks = static_cast<int64_t>(blocks.size());
+  std::vector<const Clustering*> block_ptrs;
+  for (const Clustering& block : blocks) block_ptrs.push_back(&block);
   for (const simd::Kernels* backend : testutil::Backends()) {
     simd::ScopedKernelsOverride override_backend(*backend);
-    ReferenceClusterRowSums(dy.data(), clustering, n, m, partials.data(),
-                            expected.data());
+    std::vector<std::vector<float>> expected;
+    for (const Clustering& block : blocks) {
+      std::vector<float> partials(
+          static_cast<size_t>(chunks * block.num_clusters() * m));
+      expected.emplace_back(static_cast<size_t>(block.num_clusters() * m));
+      ReferenceClusterRowSums(dy.data(), block, n, m, partials.data(),
+                              expected.back().data());
+    }
     for (const int threads : kThreadCounts) {
       SCOPED_TRACE(std::string(backend->name) + " threads=" +
                    std::to_string(threads));
       ThreadPool::SetGlobalThreads(threads);
-      std::vector<float> sums(expected.size(), 3.0f);
+      std::vector<std::vector<float>> sums;
+      std::vector<float*> sum_ptrs;
+      for (const std::vector<float>& want : expected) {
+        sums.emplace_back(want.size(), 3.0f);
+        sum_ptrs.push_back(sums.back().data());
+      }
       ScratchAllocator scratch(nullptr);
-      ClusterRowSums(dy.data(), clustering, m, &scratch, sums.data());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        // Compare bit patterns: +0 and -0 must not be confused.
-        uint32_t got = 0, want = 0;
-        std::memcpy(&got, &sums[i], sizeof(got));
-        std::memcpy(&want, &expected[i], sizeof(want));
-        ASSERT_EQ(got, want) << "element " << i << " (" << sums[i]
-                             << " vs " << expected[i] << ")";
+      ClusterRowSums(dy.data(), m, block_ptrs.data(), num_blocks, &scratch,
+                     sum_ptrs.data());
+      for (int64_t b = 0; b < num_blocks; ++b) {
+        const std::vector<float>& got = sums[static_cast<size_t>(b)];
+        const std::vector<float>& want = expected[static_cast<size_t>(b)];
+        for (size_t i = 0; i < want.size(); ++i) {
+          // Compare bit patterns: +0 and -0 must not be confused.
+          uint32_t got_bits = 0, want_bits = 0;
+          std::memcpy(&got_bits, &got[i], sizeof(got_bits));
+          std::memcpy(&want_bits, &want[i], sizeof(want_bits));
+          ASSERT_EQ(got_bits, want_bits)
+              << "block " << b << " element " << i << " (" << got[i]
+              << " vs " << want[i] << ")";
+        }
       }
     }
   }
@@ -350,12 +369,12 @@ TEST(ClusterRowSumsTest, MatchesChunkPartialReference) {
       }
     }
   }
-  ExpectRowSumsMatchReference(dy, clustering, m);
+  ExpectRowSumsMatchReference(dy, {clustering}, m);
 }
 
 TEST(ClusterRowSumsTest, AllNegativeZeroClusterStaysPositiveZero) {
   // A cluster whose every dy entry is -0 sums to +0 in the reference;
-  // the CSR form must not leak a -0.
+  // the grouped sweep must not leak a -0.
   ThreadCountGuard guard;
   const int64_t n = 24;
   const int64_t m = 5;
@@ -367,7 +386,7 @@ TEST(ClusterRowSumsTest, AllNegativeZeroClusterStaysPositiveZero) {
   for (int64_t i = 0; i < n; i += 3) {
     for (int64_t j = 0; j < m; ++j) dy[static_cast<size_t>(i * m + j)] = -0.0f;
   }
-  ExpectRowSumsMatchReference(dy, FromAssignment(assignment, 2), m);
+  ExpectRowSumsMatchReference(dy, {FromAssignment(assignment, 2)}, m);
 }
 
 TEST(ClusterRowSumsTest, FewerRowsThanChunks) {
@@ -381,15 +400,14 @@ TEST(ClusterRowSumsTest, FewerRowsThanChunks) {
     const int64_t num_clusters = n == 1 ? 1 : 2;
     std::vector<float> dy = testutil::RandomVector(n * 4, 54 + n);
     dy[0] = -0.0f;
-    ExpectRowSumsMatchReference(dy, FromAssignment(assignment, num_clusters),
-                                4);
+    ExpectRowSumsMatchReference(
+        dy, {FromAssignment(assignment, num_clusters)}, 4);
   }
 }
 
 TEST(ClusterRowSumsTest, ManyClustersSpanSeveralParallelChunks) {
-  // Wide rows and near-singleton clusters make the per-cluster cost
-  // small, so the clusters split into several parallel chunks, each with
-  // its own range buffer.
+  // Wide rows (many whole registers per row) and near-singleton
+  // clusters, most of which have rows in only one or two ranges.
   ThreadCountGuard guard;
   const int64_t n = 1000;
   const int64_t m = 1024;
@@ -402,7 +420,57 @@ TEST(ClusterRowSumsTest, ManyClustersSpanSeveralParallelChunks) {
                          : static_cast<int32_t>(rng.NextBounded(num_clusters));
   }
   ExpectRowSumsMatchReference(testutil::RandomVector(n * m, 56),
-                              FromAssignment(assignment, num_clusters), m);
+                              {FromAssignment(assignment, num_clusters)}, m);
+}
+
+// `num_blocks` clusterings of n rows with 1 + b % 7 clusters each: block
+// 2's cluster 0 holds exactly the first range's rows, and the other
+// clusters' rows are spread at random over the ranges.
+std::vector<Clustering> RandomBlocks(int64_t n, int64_t num_blocks,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Clustering> blocks;
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    const int64_t num_clusters = std::min<int64_t>(n, 1 + b % 7);
+    std::vector<int32_t> assignment(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      assignment[static_cast<size_t>(i)] =
+          i < num_clusters ? static_cast<int32_t>(i)
+                           : static_cast<int32_t>(rng.NextBounded(
+                                 static_cast<uint64_t>(num_clusters)));
+    }
+    if (b == 2 && num_clusters > 1) {
+      for (int64_t i = 0; i < n; ++i) {
+        const bool first_range = i < n / std::min<int64_t>(kReduceChunks, n);
+        int32_t& cl = assignment[static_cast<size_t>(i)];
+        if (first_range != (cl == 0)) cl = first_range ? 0 : 1;
+      }
+    }
+    blocks.push_back(FromAssignment(assignment, num_clusters));
+  }
+  return blocks;
+}
+
+TEST(ClusterRowSumsTest, GroupsOfBlocksMatchReference) {
+  // One block, one full group of 8, a group of 8 and one of 1, and ten
+  // groups; N below kReduceChunks, not divisible by it, and divisible;
+  // rows of one partial register and of whole registers plus a tail.
+  ThreadCountGuard guard;
+  for (const int64_t num_blocks : {1, 8, 9, 80}) {
+    for (const int64_t n : {5, 203, 256}) {
+      for (const int64_t m : {13, 32}) {
+        SCOPED_TRACE("blocks=" + std::to_string(num_blocks) +
+                     " n=" + std::to_string(n) + " m=" + std::to_string(m));
+        std::vector<float> dy = testutil::RandomVector(
+            n * m, static_cast<uint64_t>(60 + n + m + num_blocks));
+        for (int64_t i = 0; i < n * m; i += 7) {
+          dy[static_cast<size_t>(i)] = -0.0f;
+        }
+        ExpectRowSumsMatchReference(
+            dy, RandomBlocks(n, num_blocks, static_cast<uint64_t>(n + m)), m);
+      }
+    }
+  }
 }
 
 }  // namespace
