@@ -50,8 +50,7 @@ void Main() {
       const double accuracy = EvaluateAccuracy(
           &twin.network, context.dataset, 8, Scaled(128));
       const double rc = layer->stats().avg_remaining_ratio;
-      const double reuse_rate =
-          layer->cache() != nullptr ? layer->cache()->ReuseRate() : 0.0;
+      const double reuse_rate = layer->stats().CacheHitRate();
       PrintRow({std::string(ClusterScopeToString(scope)),
                 std::to_string(h), Fmt(rc, 4), Fmt(accuracy, 3),
                 Fmt(reuse_rate, 3)});

@@ -232,6 +232,16 @@ LshSignature CacheBenchSignature(int64_t i) {
   return sig;
 }
 
+// Inserts one bench entry into block 0 through the batch insert.
+void InsertCacheBenchEntry(ClusterReuseCache* cache, int64_t i,
+                           const std::vector<float>& rep,
+                           const std::vector<float>& out) {
+  const LshSignature sig = CacheBenchSignature(i);
+  const int32_t cluster_id = 0;
+  cache->InsertBatch(0, &sig, &cluster_id, 1, rep.data(), kCacheRepLen,
+                     out.data(), kCacheOutLen);
+}
+
 std::vector<LshSignature>& CacheBenchQueries() {
   static auto* queries = [] {
     auto* q = new std::vector<LshSignature>(
@@ -256,8 +266,7 @@ void BM_ClusterCacheLookup(benchmark::State& state) {
   std::vector<float> rep(kCacheRepLen, 1.0f);
   std::vector<float> out(kCacheOutLen, 2.0f);
   for (int64_t i = 0; i < kCacheResident; ++i) {
-    cache.Insert(0, CacheBenchSignature(i), rep.data(), kCacheRepLen,
-                 out.data(), kCacheOutLen);
+    InsertCacheBenchEntry(&cache, i, rep, out);
   }
   const std::vector<LshSignature>& queries = CacheBenchQueries();
   std::vector<int32_t> entries(static_cast<size_t>(kCacheQueries));
@@ -304,12 +313,10 @@ void BM_ClusterCacheInsert(benchmark::State& state) {
   std::vector<float> out(kCacheOutLen, 2.0f);
   int64_t next = 0;
   for (; next < kCacheResident + 1024; ++next) {
-    cache.Insert(0, CacheBenchSignature(next), rep.data(), kCacheRepLen,
-                 out.data(), kCacheOutLen);
+    InsertCacheBenchEntry(&cache, next, rep, out);
   }
   for (auto _ : state) {
-    cache.Insert(0, CacheBenchSignature(next++), rep.data(), kCacheRepLen,
-                 out.data(), kCacheOutLen);
+    InsertCacheBenchEntry(&cache, next++, rep, out);
   }
   state.counters["alloc_events"] =
       static_cast<double>(cache.alloc_events());

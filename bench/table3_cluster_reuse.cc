@@ -40,8 +40,7 @@ double EvaluateWithConfig(const TrainedContext& context,
   const double accuracy = EvaluateAccuracy(&twin.network, context.dataset,
                                            batch_size, eval_samples);
   if (reuse_rate_out != nullptr) {
-    *reuse_rate_out =
-        layer->cache() != nullptr ? layer->cache()->ReuseRate() : 0.0;
+    *reuse_rate_out = layer->stats().CacheHitRate();
   }
   return accuracy;
 }

@@ -92,14 +92,14 @@ int main(int argc, char** argv) {
     std::printf("%-7d %-12.3f %-14lld %-12lld %-14.1f %.1f%%\n", b,
                 layer.stats().last_batch_reuse_rate,
                 static_cast<long long>(layer.cache()->TotalEntries()),
-                static_cast<long long>(layer.cache()->evictions()),
+                static_cast<long long>(layer.stats().cache_evictions),
                 static_cast<double>(layer.cache()->ResidentBytes()) / 1024.0,
                 layer.stats().MacsSavedFraction() * 100.0);
   }
   std::printf(
       "\nCumulative cluster reuse rate: %.3f (paper reports R -> ~0.98 "
       "after ~20 batches on CifarNet)\n",
-      layer.cache()->ReuseRate());
+      layer.stats().CacheHitRate());
 
   if (!metrics_out.empty()) {
     if (const Status status =

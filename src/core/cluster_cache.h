@@ -8,21 +8,25 @@
 // slots — signature and slab entry id together, so a probe step touches
 // exactly one cache line — index into contiguous slab storage for
 // representatives and outputs: no per-entry heap allocations, one
-// predictable probe stream per lookup, exact O(1) memory accounting. Lookups are batched (FindBatch resolves
-// every cluster of a block in one ParallelFor pass) and the hit payloads
-// are gathered with the SIMD copy kernel. Capacity is bounded by an entry
+// predictable probe stream per lookup, exact O(1) memory accounting.
+// Lookups are batched per block (FindBatch), and the hit payloads are
+// gathered with the SIMD copy kernel. Capacity is bounded by an entry
 // budget and/or a byte budget with generation-stamped second-chance
 // (clock) eviction, O(1) amortized per insert.
 //
+// The cache stores and looks up; it counts no events. FindBatch returns
+// its hits and InsertBatch its evictions, and the caller (ReuseConv2d)
+// owns the lookup, hit and eviction counts and the reuse rate R.
+//
 // Concurrency contract (single-writer / multi-reader):
-//   - Find/FindBatch/GatherHits and all accessors are const, perform no
+//   - FindBatch/GatherHits and all accessors are const, perform no
 //     structural mutation, and are safe to call concurrently with each
-//     other from any number of threads. The hit/lookup/probe counters and
-//     the per-entry recency stamps they advance are relaxed atomics.
-//   - Insert/InsertBatch/Clear/set_* mutate and must be externally
-//     serialized against everything else (in ReuseConv2d the cache is
-//     owned by one layer and driven from its calling thread; pool workers
-//     only ever run the const batch paths).
+//     other from any number of threads. The only shared write on these
+//     paths is the per-entry recency stamp a hit stores while a budget is
+//     set, a relaxed atomic store.
+//   - InsertBatch/Clear/set_* mutate and must be externally serialized
+//     against everything else (in ReuseConv2d the cache is owned by one
+//     layer and driven from its calling thread).
 //
 // During training the cached outputs grow stale as W changes — that is
 // the approximation the CR flag trades for speed (paper Section V-B);
@@ -31,8 +35,6 @@
 #ifndef ADR_CORE_CLUSTER_CACHE_H_
 #define ADR_CORE_CLUSTER_CACHE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -42,47 +44,21 @@ namespace adr {
 
 class ClusterReuseCache {
  public:
-  /// Probe-length buckets: exact lengths 1..15, last bucket = >= 16.
-  static constexpr int kProbeBuckets = 16;
-
-  /// \brief Read-only view into slab storage. Valid until the next
-  /// mutating call (Insert*/Clear) on the cache.
-  struct View {
-    const float* representative = nullptr;  ///< length floats
-    const float* output = nullptr;          ///< m floats
-    int64_t length = 0;
-    int64_t m = 0;
-  };
-
-  /// \brief Point-in-time copy of every internal counter, for telemetry
-  /// (ReuseConv2d publishes deltas of these into MetricsRegistry).
+  /// \brief Point-in-time state, for telemetry.
   struct Stats {
     int64_t entries = 0;
     int64_t slots = 0;  ///< open-addressing capacity across blocks
     int64_t resident_bytes = 0;
-    int64_t lookups = 0;
-    int64_t hits = 0;
-    int64_t inserts = 0;
-    int64_t evictions = 0;
     int64_t alloc_events = 0;
-    /// Lookups by probe length: probe_counts[i] counts probes of length
-    /// i + 1; the last bucket collects everything >= kProbeBuckets.
-    std::array<int64_t, kProbeBuckets> probe_counts = {};
   };
 
   ClusterReuseCache() = default;
   ClusterReuseCache(const ClusterReuseCache&) = delete;
   ClusterReuseCache& operator=(const ClusterReuseCache&) = delete;
 
-  /// \brief Looks up one signature in block `block`; counts one lookup.
-  /// On a hit fills `view` (when non-null) and returns true.
-  bool Find(int64_t block, const LshSignature& signature,
-            View* view = nullptr) const;
-
-  /// \brief Resolves `count` signatures of one block in a single
-  /// ParallelFor pass: entries[i] receives the slab entry id on a hit and
-  /// -1 on a miss. Counts `count` lookups; returns the number of hits.
-  /// Decisions are deterministic and independent of the thread count.
+  /// \brief Resolves `count` signatures of one block in one pass:
+  /// entries[i] receives the slab entry id on a hit and -1 on a miss.
+  /// Returns the number of hits.
   int64_t FindBatch(int64_t block, const LshSignature* signatures,
                     int64_t count, int32_t* entries) const;
 
@@ -90,31 +66,25 @@ class ClusterReuseCache {
   /// destinations with the SIMD copy kernel: for every i with
   /// entries[i] >= 0, outputs[i * out_stride ..] receives the cached
   /// output row and (when `reps` is non-null) reps[i * rep_stride ..] the
-  /// representative. Parallel over i; rows are disjoint per i.
+  /// representative.
   void GatherHits(int64_t block, const int32_t* entries, int64_t count,
                   float* outputs, int64_t out_stride, float* reps,
                   int64_t rep_stride) const;
-
-  /// \brief Inserts (or overwrites) one entry. Every entry of a block
-  /// must carry the block's (length, m), fixed at the block's first
-  /// insert.
-  void Insert(int64_t block, const LshSignature& signature,
-              const float* representative, int64_t length,
-              const float* output, int64_t m);
 
   /// \brief Inserts `count` clusters in ascending order: cluster_ids[i]
   /// selects signatures[cluster_ids[i]], row cluster_ids[i] of `reps`
   /// (stride `length`) and of `outputs` (stride `m`) — the layout
   /// FinishForwardFromClustering already holds (block signatures and
-  /// centroids, and the per-cluster output buffer).
-  void InsertBatch(int64_t block, const LshSignature* signatures,
-                   const int32_t* cluster_ids, int64_t count,
-                   const float* reps, int64_t length, const float* outputs,
-                   int64_t m);
+  /// centroids, and the per-cluster output buffer). Every entry of a block
+  /// carries the block's (length, m), fixed at its first insert. Returns
+  /// the number of entries evicted to bring the cache back within budget.
+  int64_t InsertBatch(int64_t block, const LshSignature* signatures,
+                      const int32_t* cluster_ids, int64_t count,
+                      const float* reps, int64_t length,
+                      const float* outputs, int64_t m);
 
-  /// \brief Drops all entries and counters (e.g. when L, H, or the
-  /// W-staleness policy says the cache is no longer valid). Keeps the
-  /// configured budgets.
+  /// \brief Drops all entries (e.g. when L, H, or the W-staleness policy
+  /// says the cache is no longer valid). Keeps the configured budgets.
   void Clear();
 
   int64_t TotalEntries() const { return total_entries_; }
@@ -130,22 +100,9 @@ class ClusterReuseCache {
   void set_max_bytes(int64_t max_bytes) { max_bytes_ = max_bytes; }
   int64_t max_bytes() const { return max_bytes_; }
 
-  int64_t evictions() const { return evictions_; }
-
   /// \brief Exact bytes of cached payload (representatives + outputs +
   /// signatures), maintained incrementally — O(1), no walk.
   int64_t ResidentBytes() const { return resident_bytes_; }
-
-  /// Cumulative cluster lookups and hits since construction/Clear().
-  int64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// Cumulative reuse rate R = hits / lookups.
-  double ReuseRate() const {
-    const int64_t l = lookups();
-    return l == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(l);
-  }
 
   /// \brief Cumulative heap allocations performed by the cache (slab and
   /// table growth). Frozen at steady state: a warm cache serves hits —
@@ -195,17 +152,20 @@ class ClusterReuseCache {
     int64_t capacity() const { return static_cast<int64_t>(slots.size()); }
   };
 
-  // Probe for `sig` in `block`; returns the slot whose entry matches, or
-  // the first empty slot. *probe_len receives the number of slots
-  // inspected (>= 1).
-  static int64_t ProbeSlot(const Block& block, const LshSignature& sig,
-                           int64_t* probe_len);
+  // The one probe loop, for lookups, inserts and rehash: returns the index
+  // of the slot in the table (`slots`, capacity mask + 1) whose signature
+  // is `sig`, or of the first empty slot. Callers pass the table pointer
+  // and mask, so a batch hoists them out of its loop; it is always
+  // inlined, so a lookup pays no call.
+  [[gnu::always_inline]] static inline uint64_t ProbeSlot(
+      const Slot* slots, uint64_t mask, const LshSignature& sig);
 
   Block& EnsureBlock(int64_t block);
   void EnsureTableCapacity(Block& block);
   int32_t AllocEntry(Block& block);
   void RemoveEntry(int64_t block_index, int32_t entry);
-  void EvictIfNeeded();
+  /// Evicts until within budget; returns the number of entries evicted.
+  int64_t EvictIfNeeded();
   bool OverBudget() const {
     return (max_entries_ > 0 && total_entries_ > max_entries_) ||
            (max_bytes_ > 0 && resident_bytes_ > max_bytes_);
@@ -222,18 +182,12 @@ class ClusterReuseCache {
   int64_t resident_bytes_ = 0;
   int64_t max_entries_ = 0;
   int64_t max_bytes_ = 0;
-  int64_t evictions_ = 0;
-  int64_t inserts_ = 0;
   int64_t alloc_events_ = 0;
   /// Advanced once per mutating insert call; lookups stamp entries with
   /// the current value (see Block::stamp).
   uint64_t generation_ = 1;
   /// Round-robin clock position across blocks.
   int64_t clock_block_ = 0;
-
-  mutable std::atomic<int64_t> lookups_{0};
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::array<std::atomic<int64_t>, kProbeBuckets> probe_counts_ = {};
 };
 
 }  // namespace adr

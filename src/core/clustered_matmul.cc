@@ -51,10 +51,10 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
     batch_clusters += num_clusters;
 
     // 1. Decide, per cluster, whether its output comes from the cache:
-    // one batched parallel lookup over the block's signatures, then one
-    // parallel gather of the hit payloads (cached output rows into yc,
-    // cached representatives over the fresh centroids — the backward pass
-    // must see the representative the cached output was computed from).
+    // one batched lookup over the block's signatures, then one gather of
+    // the hit payloads (cached output rows into yc, cached
+    // representatives over the fresh centroids — the backward pass must
+    // see the representative the cached output was computed from).
     // Every yc row is written below (hit gather or GEMM), so the
     // uninitialized scratch buffer is safe.
     float* yc = scratch->Floats(num_clusters * m);
@@ -73,9 +73,7 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
                           block.centroids.data(), length);
       }
       for (int64_t c = 0; c < num_clusters; ++c) {
-        if (hit_entries[c] >= 0) {
-          block.reused_from_cache[static_cast<size_t>(c)] = true;
-        } else {
+        if (hit_entries[c] < 0) {
           miss_clusters[num_miss++] = static_cast<int32_t>(c);
         }
       }
@@ -88,39 +86,30 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
 
     // 2. One GEMM over the centroids that missed: y_c = x_c * W_I.
     if (num_miss > 0) {
-      const bool all_miss = num_miss == num_clusters;
-      if (all_miss) {
+      if (num_miss == num_clusters) {
         Gemm(block.centroids.data(), w_block, yc, num_clusters, length, m);
       } else {
         // Centroid gather: pack the missed centroids contiguously for one
-        // GEMM, then scatter its rows back. Both sides write disjoint
-        // rows per index, so row chunks parallelize deterministically.
+        // GEMM, then scatter its rows back.
         float* compact = scratch->Floats(num_miss * length);
         float* compact_y = scratch->Floats(num_miss * m);
-        ParallelFor(num_miss, GrainForCost(length),
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        std::memcpy(
-                            compact + i * length,
-                            block.centroids.data() +
-                                miss_clusters[i] * length,
-                            sizeof(float) * static_cast<size_t>(length));
-                      }
-                    });
+        for (int64_t i = 0; i < num_miss; ++i) {
+          std::memcpy(compact + i * length,
+                      block.centroids.data() + miss_clusters[i] * length,
+                      sizeof(float) * static_cast<size_t>(length));
+        }
         Gemm(compact, w_block, compact_y, num_miss, length, m);
-        ParallelFor(num_miss, GrainForCost(m),
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        std::memcpy(yc + miss_clusters[i] * m,
-                                    compact_y + i * m,
-                                    sizeof(float) * static_cast<size_t>(m));
-                      }
-                    });
+        for (int64_t i = 0; i < num_miss; ++i) {
+          std::memcpy(yc + miss_clusters[i] * m, compact_y + i * m,
+                      sizeof(float) * static_cast<size_t>(m));
+        }
       }
       stats->macs_gemm += static_cast<double>(num_miss) * length * m;
       if (cache != nullptr) {
-        cache->InsertBatch(bi, block.signatures.data(), miss_clusters,
-                           num_miss, block.centroids.data(), length, yc, m);
+        stats->cache_evictions +=
+            cache->InsertBatch(bi, block.signatures.data(), miss_clusters,
+                               num_miss, block.centroids.data(), length, yc,
+                               m);
       }
     }
 
@@ -375,8 +364,6 @@ void KMeansMatmulForward(const float* x, int64_t num_rows, int64_t k,
         ComputeCentroids(x + offset, num_rows, block.length, k, merged);
     block.centroids.assign(centroids.data(),
                            centroids.data() + centroids.num_elements());
-    block.reused_from_cache.assign(
-        static_cast<size_t>(merged.num_clusters()), false);
     clustering->blocks.push_back(std::move(block));
   }
   stats->hash_seconds = timer.ElapsedSeconds();

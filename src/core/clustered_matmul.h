@@ -20,6 +20,7 @@ namespace adr {
 struct ForwardReuseStats {
   int64_t clusters_total = 0;
   int64_t clusters_reused = 0;  ///< served from the CR cache
+  int64_t cache_evictions = 0;  ///< CR cache entries the inserts evicted
   double avg_remaining_ratio = 0.0;
   double hash_seconds = 0.0;  ///< hashing + grouping + centroids
   double gemm_seconds = 0.0;  ///< centroid GEMM + scatter + bias

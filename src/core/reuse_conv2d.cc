@@ -43,9 +43,6 @@ void ReuseConv2d::RebuildFamilies() {
   } else {
     cache_.reset();
   }
-  // A fresh cache starts all counters at zero, so delta publishing must
-  // restart from zero too.
-  published_cache_ = ClusterReuseCache::Stats{};
 }
 
 void ReuseConv2d::SetCacheBudgets(int64_t max_entries, int64_t max_bytes) {
@@ -145,13 +142,11 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
       (stats_.avg_remaining_ratio * prev_count + fs.avg_remaining_ratio) /
       (prev_count + 1.0);
   ++stats_.forward_calls;
-  stats_.hash_seconds += fs.hash_seconds;
-  stats_.gemm_seconds += fs.gemm_seconds;
   stats_.macs_executed += fs.macs_hash + fs.macs_gemm + fs.macs_scatter;
   stats_.macs_baseline += fs.macs_baseline;
   stats_.last_batch_reuse_rate = fs.batch_reuse_rate;
   PublishForwardMetrics(fs);
-  PublishCacheMetrics();
+  PublishCacheMetrics(fs);
   PublishWorkspaceMetrics();
 
   Tensor out = Tensor::Uninitialized(
@@ -220,11 +215,26 @@ void ReuseConv2d::PublishWorkspaceMetrics() {
   published_alloc_slabs_ = arena_.alloc_slabs();
 }
 
-void ReuseConv2d::PublishCacheMetrics() {
+void ReuseConv2d::PublishCacheMetrics(const ForwardReuseStats& fs) {
   if (cache_ == nullptr) return;
-  const ClusterReuseCache::Stats stats = cache_->GetStats();
-  MetricsRegistry& metrics = MetricsRegistry::Global();
+  // Every cluster of the batch was one lookup. The layer counts them per
+  // batch, so neither stats_ nor the registry counters depend on the
+  // cache's history: they restart with ResetStats and never fall when the
+  // cache is cleared or rebuilt.
+  stats_.cache_lookups += fs.clusters_total;
+  stats_.cache_hits += fs.clusters_reused;
+  stats_.cache_evictions += fs.cache_evictions;
+  stats_.cache_entries = cache_->TotalEntries();
+  stats_.cache_resident_bytes = cache_->ResidentBytes();
 
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.counter(metric_prefix_ + "cache_hits")
+      ->Increment(fs.clusters_reused);
+  metrics.counter(metric_prefix_ + "cache_misses")
+      ->Increment(fs.clusters_total - fs.clusters_reused);
+  metrics.counter(metric_prefix_ + "cache_evictions")
+      ->Increment(fs.cache_evictions);
+  const ClusterReuseCache::Stats stats = cache_->GetStats();
   metrics.gauge(metric_prefix_ + "cache_entries")
       ->Set(static_cast<double>(stats.entries));
   metrics.gauge(metric_prefix_ + "cache_resident_bytes")
@@ -233,29 +243,6 @@ void ReuseConv2d::PublishCacheMetrics() {
       ->Set(stats.slots == 0 ? 0.0
                              : static_cast<double>(stats.entries) /
                                    static_cast<double>(stats.slots));
-
-  // The cache's counters are cumulative; the registry counters advance by
-  // the delta since the last publish (same pattern as alloc_slabs).
-  metrics.counter(metric_prefix_ + "cache_hits")
-      ->Increment(stats.hits - published_cache_.hits);
-  metrics.counter(metric_prefix_ + "cache_misses")
-      ->Increment((stats.lookups - stats.hits) -
-                  (published_cache_.lookups - published_cache_.hits));
-  metrics.counter(metric_prefix_ + "cache_evictions")
-      ->Increment(stats.evictions - published_cache_.evictions);
-  Histogram* probes = metrics.histogram(metric_prefix_ + "cache_probe_length");
-  for (int b = 0; b < ClusterReuseCache::kProbeBuckets; ++b) {
-    probes->RecordN(static_cast<double>(b + 1),
-                    stats.probe_counts[static_cast<size_t>(b)] -
-                        published_cache_.probe_counts[static_cast<size_t>(b)]);
-  }
-  published_cache_ = stats;
-
-  stats_.cache_lookups = stats.lookups;
-  stats_.cache_hits = stats.hits;
-  stats_.cache_evictions = stats.evictions;
-  stats_.cache_entries = stats.entries;
-  stats_.cache_resident_bytes = stats.resident_bytes;
 }
 
 Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
@@ -288,7 +275,6 @@ void ReuseConv2d::RunBackward(const Tensor& grad_output, Tensor* grad_input) {
     const double seconds = timer.ElapsedSeconds();
     const double macs = (grad_input != nullptr ? 2.0 : 1.0) *
                         static_cast<double>(n) * k * m;
-    stats_.backward_seconds += seconds;
     stats_.macs_executed += macs;
     stats_.macs_baseline += macs;
     MetricsRegistry::Global()
@@ -316,7 +302,6 @@ void ReuseConv2d::RunBackward(const Tensor& grad_output, Tensor* grad_input) {
                         grad_weight_.data(), grad_bias_.data(),
                         grad_input != nullptr ? grad_input->data() : nullptr,
                         &bstats);
-  stats_.backward_seconds += bstats.seconds;
   stats_.macs_executed += bstats.macs;
   stats_.macs_baseline += bstats.macs_baseline;
   MetricsRegistry::Global()

@@ -113,8 +113,6 @@ class ReuseConv2d : public Layer {
   /// Cache budgets, reapplied whenever RebuildFamilies recreates cache_.
   int64_t cache_max_entries_ = 0;
   int64_t cache_max_bytes_ = 0;
-  /// Cache counters already published, for per-step deltas.
-  ClusterReuseCache::Stats published_cache_;
 
   // State cached between Forward and Backward (training mode only).
   /// The clustering the reuse backward reads: &clusterer_.clustering()
@@ -153,10 +151,11 @@ class ReuseConv2d : public Layer {
   /// last publish — zero every step once the arena plan is warm).
   void PublishWorkspaceMetrics();
 
-  /// Publishes the cluster-reuse cache's occupancy, resident bytes,
-  /// hit/miss/eviction counter deltas, and probe-length histogram under
-  /// metric_prefix_ + "cache_". No-op while CR is disabled.
-  void PublishCacheMetrics();
+  /// Adds the batch's cache lookups, hits and evictions (from `stats`) to
+  /// stats_ and to the registry counters, and publishes the cache's
+  /// occupancy and resident bytes, under metric_prefix_ + "cache_".
+  /// No-op while CR is disabled.
+  void PublishCacheMetrics(const ForwardReuseStats& stats);
 };
 
 }  // namespace adr

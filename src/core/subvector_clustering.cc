@@ -220,7 +220,6 @@ void StreamingSubVectorClusterer::FinishBlock(const simd::Kernels& kernels,
     kernels.scale(1.0f / static_cast<float>(size), centroid, length);
   }
   out->centroids.resize(static_cast<size_t>(num_clusters * length));
-  out->reused_from_cache.assign(static_cast<size_t>(num_clusters), false);
 }
 
 ReuseClustering& StreamingSubVectorClusterer::Finish() {

@@ -27,9 +27,6 @@ struct SubMatrixClustering {
   /// Centroid matrix x_c^(I), |C_I| x L_I row-major. For clusters reused
   /// from the cross-batch cache this row holds the cached representative.
   std::vector<float> centroids;
-  /// reused_from_cache[c] is true when cluster c's output came from the
-  /// cluster-reuse cache (Algorithm 1) rather than a fresh GEMM.
-  std::vector<bool> reused_from_cache;
 };
 
 /// \brief Clustering of all column blocks of one unfolded matrix.

@@ -76,8 +76,6 @@ inline ReuseClustering ReferenceClusterSubVectors(
                                               block.length, k, merged);
     block.centroids.assign(centroids.data(),
                            centroids.data() + centroids.num_elements());
-    block.reused_from_cache.assign(
-        static_cast<size_t>(merged.num_clusters()), false);
   }
   return result;
 }

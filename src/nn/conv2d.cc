@@ -11,14 +11,6 @@
 
 namespace adr {
 
-Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
-                  int64_t height, int64_t width) {
-  ADR_CHECK(rows.shape() == Shape({batch * height * width, channels}));
-  Tensor out(Shape({batch, channels, height, width}));
-  RowsToNchw(rows.data(), batch, channels, height, width, out.data());
-  return out;
-}
-
 void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
                 int64_t height, int64_t width, float* out) {
   // Per image, [hw, channels] -> [channels, hw] is a plain transpose.
@@ -28,15 +20,6 @@ void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
     kernels.transpose(rows + n * hw * channels, channels, hw, channels,
                       out + n * channels * hw, hw);
   }
-}
-
-Tensor NchwToRows(const Tensor& nchw) {
-  ADR_CHECK_EQ(nchw.shape().rank(), 4);
-  const int64_t batch = nchw.shape()[0], channels = nchw.shape()[1];
-  const int64_t height = nchw.shape()[2], width = nchw.shape()[3];
-  Tensor out(Shape({batch * height * width, channels}));
-  NchwToRows(nchw, out.data());
-  return out;
 }
 
 void NchwToRows(const Tensor& nchw, float* out) {

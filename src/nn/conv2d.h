@@ -31,19 +31,13 @@ struct Conv2dConfig {
 };
 
 /// \brief Converts GEMM-output rows [N, M] (row order n, oy, ox) to a
-/// [Nb, M, Oh, Ow] tensor.
-Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
-                  int64_t height, int64_t width);
-
-/// \brief Raw-buffer RowsToNchw; `out` holds batch*channels*height*width
-/// floats and is fully overwritten.
+/// [Nb, M, Oh, Ow] tensor; `out` holds batch*channels*height*width floats
+/// and is fully overwritten.
 void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
                 int64_t height, int64_t width, float* out);
 
-/// \brief Inverse of RowsToNchw.
-Tensor NchwToRows(const Tensor& nchw);
-
-/// \brief NchwToRows into a caller-owned [N, M] buffer (fully overwritten).
+/// \brief Inverse of RowsToNchw, into a caller-owned [N, M] buffer (fully
+/// overwritten).
 void NchwToRows(const Tensor& nchw, float* out);
 
 /// \brief The exact im2col + GEMM convolution forward: writes the output

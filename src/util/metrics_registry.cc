@@ -40,19 +40,6 @@ void Histogram::Record(double value) {
   AtomicExtremum(&max_, value, std::greater<double>());
 }
 
-void Histogram::RecordN(double value, int64_t count) {
-  if (count <= 0) return;
-  buckets_[BucketIndex(value)].fetch_add(count, std::memory_order_relaxed);
-  count_.fetch_add(count, std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  const double delta = value * static_cast<double>(count);
-  while (!sum_.compare_exchange_weak(sum, sum + delta,
-                                     std::memory_order_relaxed)) {
-  }
-  AtomicExtremum(&min_, value, std::less<double>());
-  AtomicExtremum(&max_, value, std::greater<double>());
-}
-
 double Histogram::min() const {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }

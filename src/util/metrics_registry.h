@@ -69,10 +69,6 @@ class Histogram {
   static constexpr int kNumBuckets = kMaxExponent - kMinExponent + 2;
 
   void Record(double value);
-  /// \brief Records `count` observations of `value` with one update per
-  /// internal counter — how batched producers (the cluster cache's
-  /// probe-length buckets) publish per-step deltas. No-op for count <= 0.
-  void RecordN(double value, int64_t count);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }

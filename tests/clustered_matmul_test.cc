@@ -9,6 +9,7 @@
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "tests/cache_harness.h"
 
 namespace adr {
 namespace {
@@ -109,19 +110,16 @@ TEST(ClusterReuseCacheTest, FindMissThenHit) {
   ClusterReuseCache cache;
   LshSignature sig;
   sig.SetBit(3);
-  EXPECT_FALSE(cache.Find(0, sig));
+  EXPECT_FALSE(testutil::FindEntry(cache, 0, sig));
   const float rep[] = {1.0f, 2.0f};
   const float out[] = {3.0f};
-  cache.Insert(0, sig, rep, 2, out, 1);
-  ClusterReuseCache::View view;
-  ASSERT_TRUE(cache.Find(0, sig, &view));
-  ASSERT_EQ(view.m, 1);
-  ASSERT_EQ(view.length, 2);
-  EXPECT_EQ(view.output[0], 3.0f);
-  EXPECT_EQ(view.representative[1], 2.0f);
-  EXPECT_EQ(cache.lookups(), 2);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_DOUBLE_EQ(cache.ReuseRate(), 0.5);
+  testutil::InsertEntry(&cache, 0, sig, rep, 2, out, 1);
+  float got_out[1] = {0.0f};
+  float got_rep[2] = {0.0f, 0.0f};
+  ASSERT_TRUE(testutil::FindEntry(cache, 0, sig, got_out, got_rep));
+  EXPECT_EQ(got_out[0], 3.0f);
+  EXPECT_EQ(got_rep[0], 1.0f);
+  EXPECT_EQ(got_rep[1], 2.0f);
 }
 
 TEST(ClusterReuseCacheTest, BlocksAreIndependent) {
@@ -129,9 +127,9 @@ TEST(ClusterReuseCacheTest, BlocksAreIndependent) {
   LshSignature sig;
   const float rep[] = {1.0f};
   const float out[] = {2.0f};
-  cache.Insert(0, sig, rep, 1, out, 1);
-  EXPECT_TRUE(cache.Find(0, sig));
-  EXPECT_FALSE(cache.Find(1, sig));
+  testutil::InsertEntry(&cache, 0, sig, rep, 1, out, 1);
+  EXPECT_TRUE(testutil::FindEntry(cache, 0, sig));
+  EXPECT_FALSE(testutil::FindEntry(cache, 1, sig));
   EXPECT_EQ(cache.TotalEntries(), 1);
 }
 
@@ -140,14 +138,12 @@ TEST(ClusterReuseCacheTest, ClearResetsEverything) {
   LshSignature sig;
   const float rep[] = {1.0f};
   const float out[] = {2.0f};
-  cache.Insert(0, sig, rep, 1, out, 1);
-  cache.Find(0, sig);
+  testutil::InsertEntry(&cache, 0, sig, rep, 1, out, 1);
   cache.Clear();
   EXPECT_EQ(cache.TotalEntries(), 0);
-  EXPECT_EQ(cache.lookups(), 0);
-  EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.ResidentBytes(), 0);
-  EXPECT_FALSE(cache.Find(0, sig));
+  EXPECT_EQ(cache.GetStats().slots, 0);
+  EXPECT_FALSE(testutil::FindEntry(cache, 0, sig));
 }
 
 TEST(ClusteredMatmulTest, SecondIdenticalBatchFullyReused) {

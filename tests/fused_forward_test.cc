@@ -76,20 +76,57 @@ int64_t ChunkRowsAt(int64_t length) {
 // Runs both paths on one input and checks bitwise equality of signatures,
 // clusterings, and outputs, and that both clusterings equal the reference
 // clustering of the Im2Col matrix. Caches (when provided) must be
-// separate instances in identical states.
+// separate instances in identical states. `reused`, when not null,
+// receives the number of clusters the caches served.
 void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
                                     const ConvGeometry& geo,
                                     const Tensor& input, const Tensor& weight,
                                     const Tensor& bias,
                                     int64_t rows_per_group,
                                     ClusterReuseCache* fused_cache,
-                                    ClusterReuseCache* materialized_cache) {
+                                    ClusterReuseCache* materialized_cache,
+                                    int64_t* reused = nullptr) {
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   const int64_t m = weight.shape()[1];
 
   Tensor cols(Shape({n, k}));
   Im2Col(geo, input, &cols);
+
+  // The expected clustering: the reference clustering with each cache
+  // hit's centroid row replaced by the cached representative, the
+  // decisions taken by probing both caches before either forward (an
+  // unbudgeted FindBatch changes nothing). Both caches must decide alike.
+  ReuseClustering expected =
+      ReferenceClusterSubVectors(families, cols.data(), n, rows_per_group);
+  int64_t expected_hits = 0;
+  if (fused_cache != nullptr) {
+    for (size_t b = 0; b < expected.blocks.size(); ++b) {
+      SubMatrixClustering& eb = expected.blocks[b];
+      const int64_t count = static_cast<int64_t>(eb.signatures.size());
+      std::vector<int32_t> entries(eb.signatures.size());
+      std::vector<int32_t> materialized_entries(eb.signatures.size());
+      const int64_t block_hits = fused_cache->FindBatch(
+          static_cast<int64_t>(b), eb.signatures.data(), count,
+          entries.data());
+      ASSERT_EQ(materialized_cache->FindBatch(static_cast<int64_t>(b),
+                                              eb.signatures.data(), count,
+                                              materialized_entries.data()),
+                block_hits)
+          << "block " << b;
+      for (size_t c = 0; c < entries.size(); ++c) {
+        ASSERT_EQ(entries[c] >= 0, materialized_entries[c] >= 0)
+            << "block " << b << " cluster " << c;
+      }
+      if (block_hits == 0) continue;
+      std::vector<float> outputs(static_cast<size_t>(count * m));
+      fused_cache->GatherHits(static_cast<int64_t>(b), entries.data(), count,
+                              outputs.data(), m, eb.centroids.data(),
+                              eb.length);
+      expected_hits += block_hits;
+    }
+  }
+
   const ForwardReuseResult reference =
       ClusteredMatmulForward(families, cols.data(), n, weight, &bias,
                              rows_per_group, materialized_cache);
@@ -108,29 +145,13 @@ void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
     ASSERT_EQ(y[static_cast<size_t>(i)], ry[i]) << "output element " << i;
   }
   ExpectSameClustering(clustering, reference.clustering);
-
-  // A cache hit replaces its cluster's centroid with the cached
-  // representative; everything else must be the reference's.
-  ReuseClustering expected =
-      ReferenceClusterSubVectors(families, cols.data(), n, rows_per_group);
-  ASSERT_EQ(clustering.blocks.size(), expected.blocks.size());
-  for (size_t b = 0; b < expected.blocks.size(); ++b) {
-    SubMatrixClustering& eb = expected.blocks[b];
-    const SubMatrixClustering& fb = clustering.blocks[b];
-    ASSERT_EQ(fb.reused_from_cache.size(), eb.reused_from_cache.size());
-    for (size_t c = 0; c < eb.reused_from_cache.size(); ++c) {
-      if (!fb.reused_from_cache[c]) continue;
-      eb.reused_from_cache[c] = true;
-      std::memcpy(eb.centroids.data() + c * eb.length,
-                  fb.centroids.data() + c * fb.length,
-                  sizeof(float) * static_cast<size_t>(eb.length));
-    }
-  }
   ExpectSameClustering(clustering, expected);
   ExpectSameClustering(reference.clustering, expected);
   EXPECT_EQ(fs.clusters_total, reference.stats.clusters_total);
+  EXPECT_EQ(fs.clusters_reused, expected_hits);
   EXPECT_EQ(fs.clusters_reused, reference.stats.clusters_reused);
   EXPECT_DOUBLE_EQ(fs.batch_reuse_rate, reference.stats.batch_reuse_rate);
+  if (reused != nullptr) *reused = fs.clusters_reused;
 }
 
 TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
@@ -337,12 +358,13 @@ TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
   ExpectFusedMatchesMaterialized(*families, geo, batch1, weight, bias,
                                  geo.unfolded_rows(), &fused_cache,
                                  &materialized_cache);
+  int64_t reused = 0;
   ExpectFusedMatchesMaterialized(*families, geo, batch2, weight, bias,
                                  geo.unfolded_rows(), &fused_cache,
-                                 &materialized_cache);
-  EXPECT_GT(fused_cache.hits(), 0);
-  EXPECT_EQ(fused_cache.hits(), materialized_cache.hits());
-  EXPECT_EQ(fused_cache.lookups(), materialized_cache.lookups());
+                                 &materialized_cache, &reused);
+  EXPECT_GT(reused, 0);
+  EXPECT_EQ(fused_cache.TotalEntries(), materialized_cache.TotalEntries());
+  EXPECT_EQ(fused_cache.ResidentBytes(), materialized_cache.ResidentBytes());
 }
 
 TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {

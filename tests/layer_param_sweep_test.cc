@@ -123,7 +123,8 @@ TEST_P(ReuseShapeSweep, ForwardBackwardShapesHold) {
   Tensor gin = layer.Backward(grad);
   EXPECT_EQ(gin.shape(), input.shape());
   // Bias gradient is exact regardless of {L, H}.
-  Tensor dy_rows = NchwToRows(grad);
+  Tensor dy_rows(Shape({2 * 8 * 8, 6}));
+  NchwToRows(grad, dy_rows.data());
   EXPECT_TRUE(AllClose(*layer.Gradients()[1], ColumnSums(dy_rows), 1e-4f,
                        1e-5f));
   // r_c bounded.

@@ -131,9 +131,10 @@ TEST(Conv2dTest, ForwardMacs) {
 TEST(RowsToNchwTest, RoundTrip) {
   Rng rng(7);
   Tensor nchw = Tensor::RandomGaussian(Shape({2, 3, 4, 5}), &rng);
-  Tensor rows = NchwToRows(nchw);
-  EXPECT_EQ(rows.shape(), Shape({2 * 4 * 5, 3}));
-  Tensor back = RowsToNchw(rows, 2, 3, 4, 5);
+  Tensor rows(Shape({2 * 4 * 5, 3}));
+  NchwToRows(nchw, rows.data());
+  Tensor back(nchw.shape());
+  RowsToNchw(rows.data(), 2, 3, 4, 5, back.data());
   EXPECT_EQ(MaxAbsDiff(back, nchw), 0.0f);
 }
 

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/reuse_conv2d.h"
 #include "nn/conv2d.h"
 #include "tensor/tensor_ops.h"
+#include "util/metrics_registry.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -227,6 +231,70 @@ TEST(ReuseConv2dTest, ClusterReuseCacheAcrossBatches) {
   layer.ClearCache();
   layer.Forward(in, true);
   EXPECT_DOUBLE_EQ(layer.stats().last_batch_reuse_rate, 0.0);
+}
+
+// The registry's cache counters are monotonic event counts: emptying the
+// cache must not make them fall, whatever was counted before.
+TEST(ReuseConv2dTest, CacheCountersNeverFallAcrossClearCache) {
+  ReuseConfig cr;
+  cr.sub_vector_length = 6;
+  cr.num_hashes = 8;
+  cr.cluster_reuse = true;
+  Rng rng(30);
+  ReuseConv2d layer("conv_clear_counters", SmallConv(), cr, &rng);
+  layer.SetCacheBudgets(/*max_entries=*/100, /*max_bytes=*/0);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const std::vector<std::string> names = {
+      "reuse/conv_clear_counters/cache_hits",
+      "reuse/conv_clear_counters/cache_misses",
+      "reuse/conv_clear_counters/cache_evictions"};
+  const auto counts = [&] {
+    std::vector<int64_t> values;
+    for (const std::string& name : names) {
+      values.push_back(metrics.counter(name)->value());
+    }
+    return values;
+  };
+
+  Rng data_rng(31);
+  const Tensor a = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
+  const Tensor b = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
+  for (const Tensor* in : {&a, &a, &b, &a}) layer.Forward(*in, false);
+  std::vector<int64_t> before = counts();
+  ASSERT_GT(before[0], 0);
+  ASSERT_GT(before[2], 0);
+  for (int step = 0; step < 3; ++step) {
+    layer.ClearCache();
+    layer.Forward(a, false);
+    const std::vector<int64_t> after = counts();
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_GE(after[i], before[i]) << names[i] << " step " << step;
+    }
+    before = after;
+  }
+}
+
+// ResetStats starts every count over, the cache's lookups and hits too.
+TEST(ReuseConv2dTest, ResetStatsRestartsCacheCounts) {
+  ReuseConfig cr;
+  cr.sub_vector_length = 6;
+  cr.num_hashes = 8;
+  cr.cluster_reuse = true;
+  Rng rng(32);
+  ReuseConv2d layer("conv_reset_counts", SmallConv(), cr, &rng);
+  Rng data_rng(33);
+  const Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
+  layer.Forward(in, false);
+  layer.Forward(in, false);
+  layer.ResetStats();
+  layer.Forward(in, false);  // identical batch: every cluster hits
+  const int64_t clusters = static_cast<int64_t>(
+      MetricsRegistry::Global().gauge("reuse/conv_reset_counts/clusters")
+          ->value());
+  ASSERT_GT(clusters, 0);
+  EXPECT_EQ(layer.stats().cache_lookups, clusters);
+  EXPECT_EQ(layer.stats().cache_hits, clusters);
+  EXPECT_EQ(layer.stats().cache_evictions, 0);
 }
 
 TEST(ReuseConv2dTest, DisablingClusterReuseDropsCache) {
